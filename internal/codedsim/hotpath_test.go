@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gf"
+	"repro/internal/racegate"
 	"repro/internal/stability"
 )
 
@@ -52,7 +53,7 @@ func hotSwarm(tb testing.TB, n, warmupEvents int) *Swarm {
 // arithmetic. Skipped under -race, whose instrumentation allocates on its
 // own.
 func TestStepAllocsSteadyState(t *testing.T) {
-	if raceEnabled {
+	if racegate.Enabled {
 		t.Skip("allocation gate needs a non-race build")
 	}
 	s := hotSwarm(t, 2000, 60_000)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pieceset"
+	"repro/internal/racegate"
 )
 
 // TestStepperMatchesIntegrate pins the allocation-free Stepper to the
@@ -72,7 +73,7 @@ func TestFieldIntoMatchesField(t *testing.T) {
 // hybrid backend's large-N regime) never touch the allocator. Skipped under
 // -race, whose instrumentation allocates on its own.
 func TestStepAllocsSteadyState(t *testing.T) {
-	if raceEnabled {
+	if racegate.Enabled {
 		t.Skip("allocation gate needs a non-race build")
 	}
 	s, err := New(params(0.5, 1, 1, 2, 4))

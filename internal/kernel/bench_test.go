@@ -121,15 +121,12 @@ func BenchmarkWeightedPick(b *testing.B) {
 // BenchmarkKernelStep measures the kernel's fixed per-event overhead on a
 // trivial two-class process.
 func BenchmarkKernelStep(b *testing.B) {
-	p := &birthDeath{lambda: 2, mu: 1, n: 100}
-	k := New(rng.New(1), p)
-	p.fires = nil
+	k := New(rng.New(1), &birthDeath{lambda: 2, mu: 1, n: 100})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := k.Step(); err != nil {
 			b.Fatal(err)
 		}
-		p.fires = p.fires[:0]
 	}
 }

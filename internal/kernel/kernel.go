@@ -19,6 +19,7 @@ package kernel
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/dist"
 	"repro/internal/rng"
@@ -39,7 +40,7 @@ var ErrHalted = errors.New("kernel: halted by observer")
 // occupancy estimator has been updated. population is the post-event
 // Process.Population(). The streaming observer pipeline (internal/obs)
 // implements Tap; a nil tap costs one predictable branch per event
-// (< 2% of the event-loop budget, enforced by TestTapOffOverhead).
+// (< 2% of the event-loop budget, enforced by TestInstrumentationOverhead).
 type Tap interface {
 	OnEvent(t float64, class int, population float64)
 }
@@ -81,19 +82,22 @@ type Kernel struct {
 	tap    Tap
 	halter Halter
 
-	// met holds the telemetry counter handles (zero = disabled, every use
-	// a nil-check no-op); metFlushed is the event count already pushed to
-	// the registry — see metrics.go for the batching contract.
-	met        metrics
-	metFlushed uint64
-
-	// trc is the execution-trace ring (nil = tracing disabled); trcMark is
-	// the event count already covered by an emitted batch span and trcT0
-	// the batch's start on the trace clock — see trace.go.
+	// Instrumentation, batched per metrics.go: met holds the telemetry
+	// counter handles (zero = disabled, every use a nil-check no-op) and trc
+	// the execution-trace ring (nil = tracing disabled). mark is the event
+	// count already flushed to both, flushAt the count at which Step
+	// flushes next (noFlush when neither was bound at New), and trcT0 the
+	// in-progress batch's start on the trace clock.
+	met     metrics
 	trc     *trace.Buf
-	trcMark uint64
+	mark    uint64
+	flushAt uint64
 	trcT0   int64
 }
+
+// noFlush is flushAt for a kernel with no instrumentation bound: Step's
+// event count never reaches it.
+const noFlush = math.MaxUint64
 
 // New builds a kernel driving proc from the given stream and records the
 // initial occupancy observation at time zero. When a telemetry registry is
@@ -101,8 +105,9 @@ type Kernel struct {
 // no-progress counters here; binding consumes no randomness and never
 // changes which realization a seed produces.
 func New(r *rng.RNG, proc Process) *Kernel {
-	k := &Kernel{r: r, proc: proc, met: grabMetrics(), trc: grabTraceBuf()}
-	if k.trc.Live() {
+	k := &Kernel{r: r, proc: proc, met: grabMetrics(), trc: grabTraceBuf(), flushAt: noFlush}
+	if k.met.events.Live() || k.trc.Live() {
+		k.flushAt = eventBatch
 		k.trcT0 = k.trc.Now()
 	}
 	k.occ.Observe(0, proc.Population())
@@ -167,11 +172,8 @@ func (k *Kernel) Step() error {
 	}
 	k.now += k.r.Exp(total)
 	k.events++
-	if k.met.events.Live() && k.events-k.metFlushed >= eventBatch {
+	if k.events >= k.flushAt {
 		k.FlushMetrics()
-	}
-	if k.trc != nil && k.events-k.trcMark >= eventBatch {
-		k.flushTrace()
 	}
 
 	u := k.r.Float64() * total
@@ -191,10 +193,11 @@ func (k *Kernel) Step() error {
 	if err := k.proc.Fire(class); err != nil {
 		return err
 	}
-	pop := k.proc.Population()
-	k.occ.Observe(k.now, pop)
+	// Population is re-read for the tap rather than held across Observe,
+	// which keeps the untapped path's register use that of the bare loop.
+	k.occ.Observe(k.now, k.proc.Population())
 	if k.tap != nil {
-		k.tap.OnEvent(k.now, class, pop)
+		k.tap.OnEvent(k.now, class, k.proc.Population())
 		if k.halter != nil && k.halter.Halted() {
 			k.met.halts.Inc()
 			k.FlushMetrics()

@@ -3,12 +3,14 @@ package kernel
 import "repro/internal/telemetry"
 
 // eventBatch is how many committed events a kernel accumulates before
-// flushing them to the telemetry registry in one atomic add. Batching keeps
-// the per-event cost to a subtraction and a predictable branch (the 2%
-// overhead gate in telemetry_overhead_test.go measures exactly this), at
-// the price of live counters lagging a running replica by < eventBatch
-// events. Exact totals are restored by FlushMetrics, which every
-// simulator's run loop calls on exit.
+// flushing them in one go: one atomic add to the telemetry registry and
+// one "kernel.batch" span to the trace ring (trace.go). Batching keeps the
+// per-event cost to a single compare against flushAt, whether telemetry,
+// tracing, both or neither are bound (TestInstrumentationOverhead gates
+// each within 2% of the uninstrumented loop), at the price of live
+// counters lagging a running replica by < eventBatch events. Exact totals
+// are restored by FlushMetrics, which every simulator's run loop calls on
+// exit.
 const eventBatch = 1024
 
 // metrics holds the kernel's telemetry handles. The zero value (telemetry
@@ -34,15 +36,20 @@ func grabMetrics() metrics {
 	}
 }
 
-// FlushMetrics pushes any batched event counts to the telemetry registry,
-// making the process-wide kernel_events_total exact, and emits the
-// in-progress execution-trace batch span (trace.go). Simulators call it
-// when a run loop exits; it is idempotent and a no-op when both telemetry
-// and tracing are disabled.
+// FlushMetrics pushes the events committed since the last flush to the
+// telemetry registry, making the process-wide kernel_events_total exact,
+// and emits them as one "kernel.batch" span on the trace ring, so the
+// trace accounts for every committed event exactly once. Step calls it on
+// the batch boundary and simulators when a run loop exits; it is
+// idempotent (no empty span) and a no-op when neither telemetry nor
+// tracing was bound at New.
 func (k *Kernel) FlushMetrics() {
-	if k.met.events.Live() && k.events > k.metFlushed {
-		k.met.events.Add(k.events - k.metFlushed)
-		k.metFlushed = k.events
+	if k.flushAt == noFlush || k.events == k.mark {
+		return
 	}
-	k.flushTrace()
+	n := k.events - k.mark
+	k.met.events.Add(n)
+	k.trcT0 = k.trc.Span("kernel.batch", "kernel", k.trcT0, int64(n))
+	k.mark = k.events
+	k.flushAt = k.events + eventBatch
 }

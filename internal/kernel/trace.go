@@ -2,14 +2,10 @@ package kernel
 
 import "repro/internal/trace"
 
-// Execution tracing follows the same batching contract as the telemetry
-// counters (metrics.go): the kernel never records per-event spans — it
-// emits one coarse "kernel.batch" phase mark per eventBatch committed
-// events, covering the wall time the batch took and carrying the event
-// count as its argument. With tracing disabled the per-event cost is one
-// predictable nil-check branch; enabled, it is a subtraction and compare
-// per event plus one ring write per batch, which the overhead gate
-// (TestTraceOnOverhead) pins within 2% of the untraced loop.
+// Execution tracing shares the telemetry batch (metrics.go): the kernel
+// never records per-event spans — FlushMetrics emits one coarse
+// "kernel.batch" span per eventBatch committed events, covering the wall
+// time the batch took and carrying the event count as its argument.
 //
 // Anomalies — ErrNoProgress and observer halts — mark the trace and, in
 // flight-recorder mode, dump the ring tail (see internal/trace).
@@ -20,17 +16,4 @@ import "repro/internal/trace"
 // run does not grow the track registry.
 func grabTraceBuf() *trace.Buf {
 	return trace.Default().Kernel()
-}
-
-// flushTrace emits the in-progress batch as a "kernel.batch" span and
-// restarts the batch clock. No-op when tracing is disabled or the batch is
-// empty; idempotent at a fixed event count. Called on the batch boundary
-// in Step and from FlushMetrics at run end, so the trace accounts for
-// every committed event exactly once.
-func (k *Kernel) flushTrace() {
-	if k.trc == nil || k.events == k.trcMark {
-		return
-	}
-	k.trcT0 = k.trc.Span("kernel.batch", "kernel", k.trcT0, int64(k.events-k.trcMark))
-	k.trcMark = k.events
 }

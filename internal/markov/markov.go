@@ -17,7 +17,7 @@ import (
 // Errors reported by the solver.
 var (
 	ErrTooLarge   = errors.New("markov: truncated state space exceeds the limit")
-	ErrNoConverge = errors.New("markov: power iteration did not converge")
+	ErrNoConverge = errors.New("markov: iterative solver did not converge")
 	ErrBadNMax    = errors.New("markov: NMax must be positive")
 )
 
@@ -143,6 +143,7 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 	pi[0] = 1
 	next := make([]float64, n)
 	var iter int
+	var diff float64
 	for iter = 0; iter < maxIter; iter++ {
 		for i := range next {
 			next[i] = 0
@@ -158,7 +159,8 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 			}
 		}
 		// Normalize against drift and measure the sup-norm change.
-		var sum, diff float64
+		var sum float64
+		diff = 0
 		for i := range next {
 			sum += next[i]
 		}
@@ -175,7 +177,8 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 		}
 	}
 	if iter == maxIter {
-		return nil, ErrNoConverge
+		return nil, fmt.Errorf("%w: stationary distribution after %d iterations (last step %.3g, tol %.3g)",
+			ErrNoConverge, iter, diff, tol)
 	}
 	res := &StationaryResult{Pi: pi, Iterations: iter}
 	fullIdx := len(c.states[0]) - 1
@@ -204,8 +207,9 @@ func (c *Chain) MeanHittingTimeToEmpty(maxIter int, tol float64) ([]float64, err
 	}
 	n := len(c.states)
 	h := make([]float64, n)
+	var maxDiff float64
 	for iter := 0; iter < maxIter; iter++ {
-		var maxDiff float64
+		maxDiff = 0
 		for i := 1; i < n; i++ { // state 0 is empty: h = 0
 			if c.outRate[i] == 0 {
 				continue
@@ -227,5 +231,6 @@ func (c *Chain) MeanHittingTimeToEmpty(maxIter int, tol float64) ([]float64, err
 			return h, nil
 		}
 	}
-	return nil, ErrNoConverge
+	return nil, fmt.Errorf("%w: hitting times after %d Gauss–Seidel sweeps (last relative step %.3g, tol %.3g)",
+		ErrNoConverge, maxIter, maxDiff, tol)
 }

@@ -3,6 +3,7 @@ package markov
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -195,6 +196,25 @@ func TestMeanHittingTime(t *testing.T) {
 	}
 	if !(h[idxSmall] > 0) || !(h[idxLarge] > h[idxSmall]) {
 		t.Errorf("hitting times not ordered: h1=%v hmax=%v", h[idxSmall], h[idxLarge])
+	}
+}
+
+// TestNoConvergeWrapped: both iterative solvers report a too-small
+// iteration budget as ErrNoConverge, wrapped with the budget spent.
+func TestNoConvergeWrapped(t *testing.T) {
+	c, err := Build(k1Params(0.5, 1, 1, 2), 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, errPi := c.Stationary(1, 0)
+	_, errH := c.MeanHittingTimeToEmpty(1, 0)
+	for _, err := range []error{errPi, errH} {
+		if !errors.Is(err, ErrNoConverge) {
+			t.Fatalf("err = %v, want ErrNoConverge", err)
+		}
+		if !strings.Contains(err.Error(), "after 1 ") {
+			t.Errorf("err = %q, want the iteration count", err)
+		}
 	}
 }
 

@@ -2,8 +2,9 @@ package obs
 
 // Observer-overhead benchmarks: the kernel's fixed per-event cost with no
 // tap attached (the observer-off baseline the < 2% acceptance bound is
-// about — TestTapOffOverhead in internal/kernel enforces it against the
-// pre-tap loop), with an empty tap, and with realistic pipelines attached.
+// about — TestInstrumentationOverhead in internal/kernel enforces it
+// against the pre-tap loop), with an empty tap, and with realistic
+// pipelines attached.
 // CI runs these in short -benchtime mode and uploads BENCH_obs.json.
 
 import (

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/pieceset"
+	"repro/internal/racegate"
 )
 
 // hotParams is the steady-state workload of the hot-path gate and
@@ -52,7 +53,7 @@ func hotSwarm(tb testing.TB, n int, warmupEvents int) *Swarm {
 // the flat piece-set array, and departures swap-delete. Skipped under
 // -race, whose instrumentation inserts allocations of its own.
 func TestStepAllocsSteadyState(t *testing.T) {
-	if raceEnabled {
+	if racegate.Enabled {
 		t.Skip("allocation gate needs a non-race build")
 	}
 	s := hotSwarm(t, 2000, 80_000)

@@ -21,8 +21,14 @@ var ErrEmptyWeights = errors.New("rng: no positive weight to sample")
 // RNG is a deterministic xoshiro256** generator. It is not safe for
 // concurrent use; the sweep harness gives each worker its own RNG derived
 // via Split.
+//
+// The state is padded to a whole 64-byte cache line. Go's allocator puts
+// 64-byte objects on 64-byte boundaries, so streams allocated back to back
+// (the engine derives every replica's up front) never share a line, and
+// concurrent replicas do not false-share their generators.
 type RNG struct {
 	s [4]uint64
+	_ [32]byte
 }
 
 // New returns a generator seeded from the given seed via splitmix64.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -308,4 +309,23 @@ func TestPickerAllocFree(t *testing.T) {
 		t.Errorf("Pick allocates %.1f allocs/op, want 0", n)
 	}
 	_ = sink
+}
+
+// TestStreamsOwnCacheLines: streams derived one after another, as the
+// engine derives replica streams, each fill one whole 64-byte line, so no
+// two of them share a line and concurrent replicas cannot false-share
+// generator state.
+func TestStreamsOwnCacheLines(t *testing.T) {
+	const line = 64
+	if size := unsafe.Sizeof(RNG{}); size != line {
+		t.Fatalf("RNG is %d bytes, want %d", size, line)
+	}
+	base := New(1)
+	streams := make([]*RNG, 1000) // live together, like a job's streams
+	for i := range streams {
+		streams[i] = base.Split()
+		if addr := uintptr(unsafe.Pointer(streams[i])); addr%line != 0 {
+			t.Fatalf("stream %d at %#x straddles two cache lines", i, addr)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/pieceset"
+	"repro/internal/racegate"
 )
 
 // hotParams is the stationary hot-path workload: γ = ∞ so completions
@@ -52,7 +53,7 @@ func hotSwarm(tb testing.TB, k, n, warmupEvents int) *Swarm {
 // window cannot trigger growth. Skipped under -race, whose instrumentation
 // allocates on its own.
 func TestStepAllocsSteadyState(t *testing.T) {
-	if raceEnabled {
+	if racegate.Enabled {
 		t.Skip("allocation gate needs a non-race build")
 	}
 	s := hotSwarm(t, 6, 2000, 80_000)

@@ -7,8 +7,8 @@
 //   - Disabled (no tracer installed): every handle is nil and every
 //     operation is an inlined nil-check no-op — tracing compiles down to
 //     one predictable branch at each instrumentation site, which the
-//     kernel's overhead gate (TestTraceOnOverhead) pins below 2% of the
-//     event loop.
+//     kernel's overhead gate (TestInstrumentationOverhead) pins below 2%
+//     of the event loop.
 //   - Enabled: events land in per-track fixed-size ring buffers with zero
 //     allocations on the write path (an Event slot holds only integers and
 //     references to caller-provided string constants). Instrumentation is
