@@ -43,9 +43,9 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		quick    = fs.Bool("quick", false, "reduced horizons and replica counts")
-		ids      = fs.String("id", "", "comma-separated experiment ids (default: all)")
-		seed     = fs.Uint64("seed", 1, "base RNG seed")
+		quick     = fs.Bool("quick", false, "reduced horizons and replica counts")
+		ids       = fs.String("id", "", "comma-separated experiment ids (default: all)")
+		seed      = fs.Uint64("seed", 1, "base RNG seed")
 		parallel  = fs.Int("parallel", engine.DefaultWorkers(), "engine worker pool size (1 = serial)")
 		jsonl     = fs.String("jsonl", "", "write per-replica engine records to this JSONL file")
 		storeF    = fs.String("store", "", "write per-replica engine records to this columnar result store (query with cmd/results)")

@@ -63,8 +63,8 @@ func TestParallelByteIdentical(t *testing.T) {
 }
 
 func TestCacheResume(t *testing.T) {
-	cacheFile := filepath.Join(t.TempDir(), "cells.jsonl")
-	args := []string{"-xcells", "4", "-ycells", "3", "-depth", "2", "-cache", cacheFile, "-format", "ascii"}
+	storeFile := filepath.Join(t.TempDir(), "cells.store")
+	args := []string{"-xcells", "4", "-ycells", "3", "-depth", "2", "-store", storeFile, "-format", "ascii"}
 	first := render(t, args...)
 	second := render(t, args...)
 	// The resumed run answers everything from the spill: same raster, zero

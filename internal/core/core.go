@@ -200,10 +200,85 @@ func (e Empirical) Agrees(v stability.Verdict) bool {
 	}
 }
 
+// grower is the swarm surface the classification protocol drives; both
+// *sim.Swarm and *hybrid.Swarm satisfy it.
+type grower interface {
+	RunUntil(maxTime float64, maxPeers int) (sim.StopReason, error)
+	ResetOccupancy()
+	Now() float64
+	N() int
+	MeanPeers() float64
+}
+
+// measureGrowth runs one replica of the classification protocol on g:
+// burn-in, then the rest of the horizon in eight slices so a cancelled run
+// stops promptly (a stop-watcher in c.Observers ends the replica early,
+// too). The replica grew when it hit the peer cap or ended at least
+// half-way to it; otherwise its post-burn-in occupancy is recorded.
+func (c *RunConfig) measureGrowth(ctx context.Context, g grower) (engine.Sample, error) {
+	reason, err := g.RunUntil(c.BurnIn, c.PeerCap)
+	if err != nil {
+		return nil, err
+	}
+	running := func() bool { return reason != sim.StopPeers && reason != sim.StopObserver }
+	if running() {
+		g.ResetOccupancy()
+		step := (c.Horizon - c.BurnIn) / 8
+		for target := c.BurnIn + step; running() && g.Now() < c.Horizon; target += step {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if target > c.Horizon {
+				target = c.Horizon
+			}
+			reason, err = g.RunUntil(target, c.PeerCap)
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	sample := engine.Sample{"final_n": float64(g.N())}
+	if reason == sim.StopPeers || g.N() >= c.PeerCap/2 {
+		sample["grew"] = 1
+	} else {
+		sample["occupancy"] = g.MeanPeers()
+	}
+	return sample, nil
+}
+
+// classify runs c.Replicas replicas of backend as one engine job and folds
+// them into the majority verdict.
+func (c *RunConfig) classify(name string, backend engine.Backend) (Empirical, error) {
+	res, err := engine.Run(c.Context, engine.Job{
+		Name:     name,
+		Backend:  backend,
+		Replicas: c.Replicas,
+		Seed:     c.Seed,
+		Workers:  c.Workers,
+		Sink:     c.Sink,
+		Progress: c.Progress,
+	})
+	if err != nil {
+		return Empirical{}, err
+	}
+	grew := res.Count("grew")
+	out := Empirical{
+		Replicas:      c.Replicas,
+		Grew:          2*grew > c.Replicas,
+		GrowFraction:  float64(grew) / float64(c.Replicas),
+		MeanFinalN:    res.Mean("final_n"),
+		MeanOccupancy: math.NaN(),
+	}
+	if res.Count("occupancy") > 0 {
+		out.MeanOccupancy = res.Mean("occupancy")
+	}
+	return out, nil
+}
+
 // ClassifyHybrid is ClassifyEmpirically on the adaptive multi-regime
 // backend (internal/hybrid): exact CTMC near boundaries, tau-leaping in the
 // bulk, fluid ODE deep in the interior. The classification protocol —
-// burn-in, slices, the grew criterion — is identical, so verdicts are
+// burn-in, slices, the grew criterion — is the same code, so verdicts are
 // comparable cell for cell with the exact evaluator; what changes is the
 // cost at large scale. Scenarios and non-default policies are rejected:
 // tau-leaping aggregates the stationary RandomUseful rates of equation (1).
@@ -223,36 +298,14 @@ func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, e
 	if err := hcfg.Validate(); err != nil {
 		return Empirical{}, err
 	}
-	backend := &engine.HybridBackend{
+	return cfg.classify("classify-hybrid/"+s.params.String(), &engine.HybridBackend{
 		Label:  "classify-hybrid",
 		Params: s.params,
 		Config: hcfg,
 		Measure: func(ctx context.Context, rep int, h *hybrid.Swarm) (engine.Sample, error) {
-			reason, err := h.RunUntil(cfg.BurnIn, cfg.PeerCap)
+			sample, err := cfg.measureGrowth(ctx, h)
 			if err != nil {
 				return nil, err
-			}
-			if reason != sim.StopPeers {
-				h.ResetOccupancy()
-				step := (cfg.Horizon - cfg.BurnIn) / 8
-				for target := cfg.BurnIn + step; reason != sim.StopPeers && h.Now() < cfg.Horizon; target += step {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if target > cfg.Horizon {
-						target = cfg.Horizon
-					}
-					reason, err = h.RunUntil(target, cfg.PeerCap)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			sample := engine.Sample{"final_n": float64(h.N())}
-			if reason == sim.StopPeers || h.N() >= cfg.PeerCap/2 {
-				sample["grew"] = 1
-			} else {
-				sample["occupancy"] = h.MeanPeers()
 			}
 			st := h.Stats()
 			sample["leaps"] = float64(st.Leaps)
@@ -260,31 +313,7 @@ func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, e
 			sample["fluid_steps"] = float64(st.FluidSteps)
 			return sample, nil
 		},
-	}
-	res, err := engine.Run(cfg.Context, engine.Job{
-		Name:     "classify-hybrid/" + s.params.String(),
-		Backend:  backend,
-		Replicas: cfg.Replicas,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-		Sink:     cfg.Sink,
-		Progress: cfg.Progress,
 	})
-	if err != nil {
-		return Empirical{}, err
-	}
-	grew := res.Count("grew")
-	out := Empirical{
-		Replicas:      cfg.Replicas,
-		Grew:          2*grew > cfg.Replicas,
-		GrowFraction:  float64(grew) / float64(cfg.Replicas),
-		MeanFinalN:    res.Mean("final_n"),
-		MeanOccupancy: math.NaN(),
-	}
-	if res.Count("occupancy") > 0 {
-		out.MeanOccupancy = res.Mean("occupancy")
-	}
-	return out, nil
 }
 
 // ClassifyEmpirically runs independent replicas through the parallel
@@ -295,66 +324,14 @@ func (s *System) ClassifyEmpirically(cfg RunConfig) (Empirical, error) {
 	if err := cfg.normalize(); err != nil {
 		return Empirical{}, err
 	}
-	backend := &engine.SwarmBackend{
+	return cfg.classify("classify/"+s.params.String(), &engine.SwarmBackend{
 		Label:    "classify",
 		Params:   s.params,
 		Options:  []sim.Option{sim.WithPolicy(cfg.Policy)},
 		Scenario: cfg.Scenario,
 		Observe:  cfg.Observers,
 		Measure: func(ctx context.Context, rep int, sw *sim.Swarm) (engine.Sample, error) {
-			reason, err := sw.RunUntil(cfg.BurnIn, cfg.PeerCap)
-			if err != nil {
-				return nil, err
-			}
-			if reason != sim.StopPeers && reason != sim.StopObserver {
-				sw.ResetOccupancy()
-				// Advance in slices so a cancelled run stops promptly; a
-				// stop-watcher in cfg.Observers ends the replica early, too.
-				step := (cfg.Horizon - cfg.BurnIn) / 8
-				for target := cfg.BurnIn + step; reason != sim.StopPeers && reason != sim.StopObserver && sw.Now() < cfg.Horizon; target += step {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					if target > cfg.Horizon {
-						target = cfg.Horizon
-					}
-					reason, err = sw.RunUntil(target, cfg.PeerCap)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			sample := engine.Sample{"final_n": float64(sw.N())}
-			if reason == sim.StopPeers || sw.N() >= cfg.PeerCap/2 {
-				sample["grew"] = 1
-			} else {
-				sample["occupancy"] = sw.MeanPeers()
-			}
-			return sample, nil
+			return cfg.measureGrowth(ctx, sw)
 		},
-	}
-	res, err := engine.Run(cfg.Context, engine.Job{
-		Name:     "classify/" + s.params.String(),
-		Backend:  backend,
-		Replicas: cfg.Replicas,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-		Sink:     cfg.Sink,
-		Progress: cfg.Progress,
 	})
-	if err != nil {
-		return Empirical{}, err
-	}
-	grew := res.Count("grew")
-	out := Empirical{
-		Replicas:      cfg.Replicas,
-		Grew:          2*grew > cfg.Replicas,
-		GrowFraction:  float64(grew) / float64(cfg.Replicas),
-		MeanFinalN:    res.Mean("final_n"),
-		MeanOccupancy: math.NaN(),
-	}
-	if res.Count("occupancy") > 0 {
-		out.MeanOccupancy = res.Mean("occupancy")
-	}
-	return out, nil
 }

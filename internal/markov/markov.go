@@ -114,7 +114,8 @@ type StationaryResult struct {
 	// BoundaryMass is P{N = NMax}: the truncation error indicator. Results
 	// are trustworthy only when this is small.
 	BoundaryMass float64
-	// Iterations used by the power method.
+	// Iterations is the number of power-method sweeps performed: a second
+	// solve with this budget converges too.
 	Iterations int
 }
 
@@ -142,9 +143,11 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 	pi := make([]float64, n)
 	pi[0] = 1
 	next := make([]float64, n)
+	// iter counts the sweeps performed; it passes maxIter only when none
+	// of them converged.
 	var iter int
 	var diff float64
-	for iter = 0; iter < maxIter; iter++ {
+	for iter = 1; iter <= maxIter; iter++ {
 		for i := range next {
 			next[i] = 0
 		}
@@ -176,9 +179,9 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 			break
 		}
 	}
-	if iter == maxIter {
+	if iter > maxIter {
 		return nil, fmt.Errorf("%w: stationary distribution after %d iterations (last step %.3g, tol %.3g)",
-			ErrNoConverge, iter, diff, tol)
+			ErrNoConverge, maxIter, diff, tol)
 	}
 	res := &StationaryResult{Pi: pi, Iterations: iter}
 	fullIdx := len(c.states[0]) - 1

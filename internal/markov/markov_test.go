@@ -97,6 +97,31 @@ func TestStationaryProbabilitiesSumToOne(t *testing.T) {
 	}
 }
 
+// TestStationaryIterationsIsABudget pins the reported sweep count: it is
+// the number of sweeps performed, so re-solving with exactly that budget
+// converges, and one sweep fewer does not.
+func TestStationaryIterationsIsABudget(t *testing.T) {
+	c, err := Build(k1Params(0.8, 1, 1, 2), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-10
+	res, err := c.Stationary(0, tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Stationary(res.Iterations, tol)
+	if err != nil {
+		t.Fatalf("Stationary(%d, %g) with the reported budget: %v", res.Iterations, tol, err)
+	}
+	if again.Iterations != res.Iterations {
+		t.Errorf("re-solve used %d sweeps, want %d", again.Iterations, res.Iterations)
+	}
+	if _, err := c.Stationary(res.Iterations-1, tol); !errors.Is(err, ErrNoConverge) {
+		t.Errorf("Stationary(%d, %g) = %v, want ErrNoConverge", res.Iterations-1, tol, err)
+	}
+}
+
 // TestStationaryMatchesSimulatorK1 cross-validates the two independent
 // implementations of the same chain: exact solve vs long simulation.
 func TestStationaryMatchesSimulatorK1(t *testing.T) {

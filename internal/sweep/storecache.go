@@ -19,8 +19,7 @@ const CellStoreApp = "p2p-cells/1"
 //	field="val"   one named outcome: name, v (key/point/class repeated)
 //
 // Rows are appended in Put order (the Runner commits in batch order), so
-// the store bytes are deterministic across worker counts, exactly like
-// the JSONL journal.
+// the store bytes are deterministic across worker counts.
 const (
 	cellFieldHeader = "cell"
 	cellFieldValue  = "val"
@@ -42,11 +41,11 @@ func CellStoreSchema() store.Schema {
 	}
 }
 
-// CellStore is the columnar spill/resume backend for a sweep Cache — the
-// at-scale replacement for the JSONL journal. Every Put commits one store
-// block (the durability granularity), so a killed sweep loses at most the
-// cell being written; OpenCellStore salvages every committed cell from a
-// torn file and the next Close makes the file clean again.
+// CellStore is the spill/resume backend for a sweep Cache. Every Put
+// commits one store block (the durability granularity), so a killed sweep
+// loses at most the cell being written; OpenCellStore salvages every
+// committed cell from a torn file and the next Close makes the file clean
+// again.
 type CellStore struct {
 	w   *store.Writer
 	row []store.Value
@@ -54,9 +53,8 @@ type CellStore struct {
 
 // OpenCellStore opens (or creates) the cell store at path, replays every
 // recovered cell into cache, attaches the store as the cache's spill
-// target, and returns how many cells were loaded. Mirrors the JSONL
-// openCache flow: torn tails are dropped silently, matching
-// LoadJournal's skip-unparsable-lines semantics.
+// target, and returns how many cells were loaded. A torn tail is dropped
+// silently: its cells are re-evaluated by the resumed sweep.
 func OpenCellStore(path string, cache *Cache) (*CellStore, int, error) {
 	w, r, err := store.OpenAppend(path, CellStoreSchema(), store.WriterOptions{})
 	if err != nil {
@@ -167,9 +165,15 @@ func loadCells(r *store.Reader, fn func(key, point string, cell Cell) error) (in
 	return n, flush()
 }
 
-// StoreCellsToJSONL streams a cell store back out as the byte-identical
-// JSONL journal the same Puts would have appended — the export path
-// cmd/results uses, and the equivalence the journal-vs-store tests pin.
+// journalRecord is the JSONL line StoreCellsToJSONL writes per cell.
+type journalRecord struct {
+	Key   string `json:"key"`
+	Point string `json:"point,omitempty"`
+	Cell  Cell   `json:"cell"`
+}
+
+// StoreCellsToJSONL streams a cell store back out as JSONL, one line per
+// cell in Put order — the export path cmd/results uses.
 func StoreCellsToJSONL(w io.Writer, r *store.Reader) error {
 	enc := json.NewEncoder(w)
 	_, err := loadCells(r, func(key, point string, cell Cell) error {

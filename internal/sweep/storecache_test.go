@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,18 +11,20 @@ import (
 	"repro/internal/store"
 )
 
-// runWithJournal sweeps g into a journal-backed cache and returns the
-// map, the journal bytes, and the number of cells evaluated.
-func runWithJournal(t *testing.T, g Grid) (*Map, []byte, int) {
+// runRecordingPuts sweeps g into a cache whose spill hook records each
+// Put as its JSON line, and returns those lines.
+func runRecordingPuts(t *testing.T, g Grid) []byte {
 	t.Helper()
-	var spill bytes.Buffer
+	var puts bytes.Buffer
 	cache := NewCache()
-	cache.AttachJournal(&spill)
-	m, err := g.Run(context.Background(), &Runner{Evaluator: Theory{}, Cache: cache})
-	if err != nil {
+	enc := json.NewEncoder(&puts)
+	cache.spill = func(key, point string, cell Cell) error {
+		return enc.Encode(journalRecord{Key: key, Point: point, Cell: cell})
+	}
+	if _, err := g.Run(context.Background(), &Runner{Evaluator: Theory{}, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	return m, spill.Bytes(), m.Stats.Evaluated
+	return puts.Bytes()
 }
 
 // runWithStore sweeps g into a cell-store-backed cache at path and
@@ -46,15 +49,14 @@ func runWithStore(t *testing.T, g Grid, path string) *Map {
 	return m
 }
 
-// TestCellStoreExportMatchesJournal pins the spill-equivalence contract:
-// the same sweep spilled through the columnar cell store exports (via
-// StoreCellsToJSONL) the byte-identical JSONL stream AttachJournal would
-// have written.
-func TestCellStoreExportMatchesJournal(t *testing.T) {
+// TestCellStoreExportMatchesPuts pins the export contract: the same sweep
+// spilled through the cell store exports (via StoreCellsToJSONL) exactly
+// the JSON lines of the cache's Puts, in Put order.
+func TestCellStoreExportMatchesPuts(t *testing.T) {
 	g := example1Grid(2)
-	_, journal, evaluated := runWithJournal(t, g)
-	if evaluated == 0 {
-		t.Fatal("sweep evaluated no cells")
+	puts := runRecordingPuts(t, g)
+	if len(puts) == 0 {
+		t.Fatal("sweep put no cells")
 	}
 
 	path := filepath.Join(t.TempDir(), "cells.store")
@@ -72,14 +74,13 @@ func TestCellStoreExportMatchesJournal(t *testing.T) {
 	if err := StoreCellsToJSONL(&back, r); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back.Bytes(), journal) {
-		t.Fatalf("store export differs from journal\nstore:\n%s\njournal:\n%s", back.Bytes(), journal)
+	if !bytes.Equal(back.Bytes(), puts) {
+		t.Fatalf("store export differs from the Puts\nstore:\n%s\nputs:\n%s", back.Bytes(), puts)
 	}
 }
 
 // TestCellStoreResume: reopening a clean cell store replays every cell,
-// and the resumed sweep evaluates nothing yet reproduces the map — the
-// store-side twin of TestCacheJournalResume.
+// and the resumed sweep evaluates nothing yet reproduces the map.
 func TestCellStoreResume(t *testing.T) {
 	g := example1Grid(2)
 	path := filepath.Join(t.TempDir(), "cells.store")
@@ -108,33 +109,18 @@ func TestCellStoreResume(t *testing.T) {
 
 // TestCellStoreTornResume is the crash-recovery satellite at the sweep
 // layer: a sweep resumed from a torn cell store (killed mid-write, file
-// truncated at an arbitrary byte) must produce exactly the map a resume
-// from the intact JSONL journal produces, re-evaluating only the cells
-// whose blocks were lost. Afterwards the store file is clean again.
+// truncated at an arbitrary byte) must produce exactly the map of the
+// uninterrupted run, re-evaluating only the cells whose blocks were lost.
+// Afterwards the store file is clean again.
 func TestCellStoreTornResume(t *testing.T) {
 	g := example1Grid(1)
-	intactMap, journal, evaluated := runWithJournal(t, g)
-
 	dir := t.TempDir()
 	full := filepath.Join(dir, "cells.store")
-	runWithStore(t, g, full)
+	baseline := runWithStore(t, g, full)
+	evaluated := baseline.Stats.Evaluated
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// The journal-resume baseline: the map every torn-store resume must
-	// reproduce.
-	jcache := NewCache()
-	if _, err := jcache.LoadJournal(bytes.NewReader(journal)); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := g.Run(context.Background(), &Runner{Evaluator: Theory{}, Cache: jcache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rastersEqual(intactMap, baseline) {
-		t.Fatal("journal resume baseline differs from the original map")
 	}
 
 	// Tear the file at offsets spanning header-only through nearly-whole,
@@ -164,7 +150,7 @@ func TestCellStoreTornResume(t *testing.T) {
 			t.Errorf("cut at %d: re-evaluated %d cells, want %d", k, m.Stats.Evaluated, evaluated-loaded)
 		}
 		if !rastersEqual(m, baseline) {
-			t.Fatalf("cut at %d: torn-store resume map differs from journal resume", k)
+			t.Fatalf("cut at %d: torn-store resume map differs from the uninterrupted run", k)
 		}
 		if err := cs.Close(); err != nil {
 			t.Fatalf("cut at %d: close: %v", k, err)
@@ -193,7 +179,7 @@ func TestCellStoreTornResume(t *testing.T) {
 	}
 }
 
-// TestCellStoreDeterministicAcrossWorkers extends the journal determinism
+// TestCellStoreDeterministicAcrossWorkers extends the sweep determinism
 // contract to the store file: one sweep, any worker count, identical
 // bytes on disk.
 func TestCellStoreDeterministicAcrossWorkers(t *testing.T) {
