@@ -50,9 +50,9 @@ func RunE14(cfg Config) (*Table, error) {
 
 	// E[N] blow-up as the margin to the threshold 2 halves, scanned as one
 	// sweep batch: the exact-solver cells run case-parallel through the
-	// sharded evaluation layer and memoize like any other sweep cell. The
-	// nearest margin needs ~10^6 uniformized iterations, so quick mode
-	// stops at margin 0.5.
+	// sharded evaluation layer and memoize like any other sweep cell. Quick
+	// mode stops at margin 0.5 so that its table stays fixed; the margin
+	// 0.25 cell (nmax 150) is full scale only.
 	margins := []float64{1, 0.5}
 	if !cfg.Quick {
 		margins = append(margins, 0.25)
@@ -126,7 +126,7 @@ type exactOccupancy struct{}
 func (exactOccupancy) Name() string { return "e14-exact" }
 
 // Fingerprint implements sweep.Evaluator.
-func (exactOccupancy) Fingerprint() string { return "iters=2e6;eps=1e-10" }
+func (exactOccupancy) Fingerprint() string { return "gauss-seidel;residual<1e-10;iters=2e6" }
 
 // Evaluate implements sweep.Evaluator.
 func (exactOccupancy) Evaluate(ctx context.Context, pt sweep.Point, r *rng.RNG) (sweep.Cell, error) {

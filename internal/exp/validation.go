@@ -128,7 +128,7 @@ func RunE10(cfg Config) (*Table, error) {
 	t.AddRow(littleCase.label+" — peersim E[T] vs Little",
 		fmtF(wantT), fmtF(gotT),
 		fmt.Sprintf("%.1f%%", 100*relErrT), markAgreement(relErrT < 0.15))
-	t.AddNote("exact values from uniformized power iteration on the truncated generator (boundary mass < 1e-5)")
+	t.AddNote("exact values from Gauss–Seidel on the truncated generator, residual ‖πQ‖∞ < 1e-12 (boundary mass < 1e-5)")
 	t.AddNote("last row: per-peer simulator sojourn mean vs Little's law on the exact E[N]")
 	return t, nil
 }

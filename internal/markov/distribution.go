@@ -1,9 +1,6 @@
 package markov
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // ErrBadResult reports statistics requested from a malformed result.
 var ErrBadResult = errors.New("markov: result does not match chain")
@@ -50,21 +47,5 @@ func (c *Chain) StationarityResidual(res *StationaryResult) (float64, error) {
 	if res == nil || len(res.Pi) != len(c.states) {
 		return 0, ErrBadResult
 	}
-	flow := make([]float64, len(c.states))
-	for i, mass := range res.Pi {
-		if mass == 0 {
-			continue
-		}
-		flow[i] -= mass * c.outRate[i]
-		for _, e := range c.outs[i] {
-			flow[e.to] += mass * e.rate
-		}
-	}
-	var sup float64
-	for _, f := range flow {
-		if a := math.Abs(f); a > sup {
-			sup = a
-		}
-	}
-	return sup, nil
+	return c.residual(res.Pi), nil
 }

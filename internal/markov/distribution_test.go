@@ -75,14 +75,19 @@ func TestOccupancyQuantile(t *testing.T) {
 }
 
 // TestStationarityResidual is the direct global-balance certificate: πQ ≈ 0.
+// The solver's own Residual is that certificate at exit, below the default
+// tolerance 1e-12.
 func TestStationarityResidual(t *testing.T) {
 	c, res := solved(t)
 	r, err := c.StationarityResidual(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r > 1e-8 {
-		t.Errorf("stationarity residual %v too large", r)
+	if res.Residual > 1e-12 {
+		t.Errorf("Residual = %v, above the default tolerance 1e-12", res.Residual)
+	}
+	if math.Abs(res.Residual-r) > 1e-15 {
+		t.Errorf("Residual = %v, StationarityResidual = %v", res.Residual, r)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package markov solves the model's CTMC exactly on a truncated state
 // space: it enumerates every state reachable from empty with at most NMax
-// peers, censors arrivals at the truncation boundary, and computes the
-// stationary distribution by uniformized power iteration. For stable
-// configurations with small K this yields E[N] to solver precision, which
-// experiment E10 uses to validate the event-driven simulator.
+// peers, censors arrivals at the truncation boundary, stores the generator
+// in compressed sparse rows in both directions, and computes the stationary
+// distribution by Gauss–Seidel sweeps on πQ = 0, stopped on the residual
+// ‖πQ‖∞. For stable configurations with small K this yields E[N] to solver
+// precision, which experiment E10 uses to validate the event-driven
+// simulator.
 package markov
 
 import (
@@ -19,6 +21,7 @@ var (
 	ErrTooLarge   = errors.New("markov: truncated state space exceeds the limit")
 	ErrNoConverge = errors.New("markov: iterative solver did not converge")
 	ErrBadNMax    = errors.New("markov: NMax must be positive")
+	ErrAbsorbing  = errors.New("markov: truncated chain has an absorbing state")
 )
 
 // MaxStates caps the truncated space to keep the solver laptop-friendly.
@@ -28,17 +31,19 @@ const MaxStates = 2_000_000
 type Chain struct {
 	params model.Params
 	nmax   int
-	states []model.State  // index → state (states[0] is empty)
-	index  map[string]int // state key → index
-	// outs[i] lists censored transitions out of state i.
-	outs [][]edge
-	// outRate[i] is the total out-rate of state i (after censoring).
+	states []model.State // index → state (states[0] is empty)
+	// The censored generator's off-diagonal entries as compressed sparse
+	// rows: out-edges of state i are outTo/outQ[outStart[i]:outStart[i+1]]
+	// in transition order, and in-edges of state j are
+	// inFrom/inQ[inStart[j]:inStart[j+1]] in ascending source order.
+	outStart []int32
+	outTo    []int32
+	outQ     []float64
+	inStart  []int32
+	inFrom   []int32
+	inQ      []float64
+	// outRate[i] is the total out-rate q_i of state i (after censoring).
 	outRate []float64
-}
-
-type edge struct {
-	to   int
-	rate float64
 }
 
 // Build enumerates the reachable truncated space via breadth-first search
@@ -51,46 +56,76 @@ func Build(p model.Params, nmax int) (*Chain, error) {
 	if nmax <= 0 {
 		return nil, ErrBadNMax
 	}
-	c := &Chain{
-		params: p,
-		nmax:   nmax,
-		index:  make(map[string]int),
+	c := &Chain{params: p, nmax: nmax}
+	// index maps state keys to indices during the search only.
+	index := make(map[string]int32)
+	add := func(x model.State) int32 {
+		idx := int32(len(c.states))
+		c.states = append(c.states, x)
+		index[x.Key()] = idx
+		return idx
 	}
-	empty := model.NewState(p.K)
-	c.addState(empty)
+	add(model.NewState(p.K))
+	var outTo []int32
+	var outQ []float64
 	for head := 0; head < len(c.states); head++ {
 		x := c.states[head]
 		ts, err := p.Transitions(x)
 		if err != nil {
 			return nil, err
 		}
-		var edges []edge
+		if len(outTo) > math.MaxInt32-len(ts) {
+			return nil, fmt.Errorf("%w: more than %d transitions", ErrTooLarge, math.MaxInt32)
+		}
+		c.outStart = append(c.outStart, int32(len(outTo)))
 		var total float64
 		for _, tr := range ts {
 			if tr.Next.N() > nmax {
 				continue // censored arrival at the boundary
 			}
-			idx, ok := c.index[tr.Next.Key()]
+			idx, ok := index[tr.Next.Key()]
 			if !ok {
 				if len(c.states) >= MaxStates {
 					return nil, fmt.Errorf("%w: more than %d states", ErrTooLarge, MaxStates)
 				}
-				idx = c.addState(tr.Next)
+				idx = add(tr.Next)
 			}
-			edges = append(edges, edge{to: idx, rate: tr.Rate})
+			outTo = append(outTo, idx)
+			outQ = append(outQ, tr.Rate)
 			total += tr.Rate
 		}
-		c.outs = append(c.outs, edges)
 		c.outRate = append(c.outRate, total)
 	}
+	c.outStart = append(c.outStart, int32(len(outTo)))
+	// Exact-length copies: the append slack would otherwise stay live.
+	c.outTo = append([]int32(nil), outTo...)
+	c.outQ = append([]float64(nil), outQ...)
+	c.transpose()
 	return c, nil
 }
 
-func (c *Chain) addState(x model.State) int {
-	idx := len(c.states)
-	c.states = append(c.states, x)
-	c.index[x.Key()] = idx
-	return idx
+// transpose fills the in-edge rows from the out-edge rows by a counting
+// sort on the target, which keeps each in-row in ascending source order.
+func (c *Chain) transpose() {
+	n := len(c.states)
+	c.inStart = make([]int32, n+1)
+	for _, j := range c.outTo {
+		c.inStart[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		c.inStart[j+1] += c.inStart[j]
+	}
+	c.inFrom = make([]int32, len(c.outTo))
+	c.inQ = make([]float64, len(c.outTo))
+	fill := append([]int32(nil), c.inStart[:n]...)
+	for i := 0; i < n; i++ {
+		for k := c.outStart[i]; k < c.outStart[i+1]; k++ {
+			j := c.outTo[k]
+			c.inFrom[fill[j]] = int32(i)
+			c.inQ[fill[j]] = c.outQ[k]
+			fill[j]++
+		}
+	}
 }
 
 // NumStates returns the size of the truncated space.
@@ -114,13 +149,21 @@ type StationaryResult struct {
 	// BoundaryMass is P{N = NMax}: the truncation error indicator. Results
 	// are trustworthy only when this is small.
 	BoundaryMass float64
-	// Iterations is the number of power-method sweeps performed: a second
+	// Residual is the sup-norm of πQ at exit: the solver's error evidence,
+	// equal to StationarityResidual of this result.
+	Residual float64
+	// Iterations is the number of Gauss–Seidel sweeps performed: a second
 	// solve with this budget converges too.
 	Iterations int
 }
 
-// Stationary computes the stationary distribution by power iteration on the
-// uniformized transition matrix P = I + Q/Λ.
+// Stationary computes the stationary distribution by Gauss–Seidel sweeps
+// on πQ = 0 (Stewart, Introduction to the Numerical Solution of Markov
+// Chains, 1994, ch. 3): each sweep sets π_j ← Σ_{i→j} π_i q_ij / q_j in
+// place over the in-edges, in state order, then normalizes π. It stops
+// after the first sweep whose normalized π has residual ‖πQ‖∞ below tol
+// (default 1e-12), and fails with ErrNoConverge after maxIter sweeps
+// (default 200000).
 func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) {
 	if maxIter <= 0 {
 		maxIter = 200000
@@ -128,62 +171,38 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 	if tol <= 0 {
 		tol = 1e-12
 	}
-	n := len(c.states)
-	// Uniformization constant: strictly above the max out-rate.
-	var uni float64
-	for _, r := range c.outRate {
-		if r > uni {
-			uni = r
+	for i, q := range c.outRate {
+		if q == 0 {
+			return nil, fmt.Errorf("%w: %v has no transitions out", ErrAbsorbing, c.states[i])
 		}
 	}
-	uni *= 1.05
-	if uni == 0 {
-		return nil, errors.New("markov: degenerate chain with no transitions")
-	}
+	n := len(c.states)
 	pi := make([]float64, n)
-	pi[0] = 1
-	next := make([]float64, n)
+	for i := range pi {
+		pi[i] = 1 / float64(n)
+	}
 	// iter counts the sweeps performed; it passes maxIter only when none
 	// of them converged.
 	var iter int
-	var diff float64
+	var resid float64
 	for iter = 1; iter <= maxIter; iter++ {
-		for i := range next {
-			next[i] = 0
-		}
-		for i, mass := range pi {
-			if mass == 0 {
-				continue
-			}
-			stay := 1 - c.outRate[i]/uni
-			next[i] += mass * stay
-			for _, e := range c.outs[i] {
-				next[e.to] += mass * e.rate / uni
-			}
-		}
-		// Normalize against drift and measure the sup-norm change.
 		var sum float64
-		diff = 0
-		for i := range next {
-			sum += next[i]
+		for j := range pi {
+			pi[j] = c.inflow(pi, j) / c.outRate[j]
+			sum += pi[j]
 		}
-		for i := range next {
-			next[i] /= sum
-			d := math.Abs(next[i] - pi[i])
-			if d > diff {
-				diff = d
-			}
+		for j := range pi {
+			pi[j] /= sum
 		}
-		pi, next = next, pi
-		if diff < tol {
+		if resid = c.residual(pi); resid < tol {
 			break
 		}
 	}
 	if iter > maxIter {
-		return nil, fmt.Errorf("%w: stationary distribution after %d iterations (last step %.3g, tol %.3g)",
-			ErrNoConverge, maxIter, diff, tol)
+		return nil, fmt.Errorf("%w: stationary distribution after %d iterations (last residual %.3g, tol %.3g)",
+			ErrNoConverge, maxIter, resid, tol)
 	}
-	res := &StationaryResult{Pi: pi, Iterations: iter}
+	res := &StationaryResult{Pi: pi, Residual: resid, Iterations: iter}
 	fullIdx := len(c.states[0]) - 1
 	for i, mass := range pi {
 		st := c.states[i]
@@ -195,6 +214,28 @@ func (c *Chain) Stationary(maxIter int, tol float64) (*StationaryResult, error) 
 		}
 	}
 	return res, nil
+}
+
+// inflow returns Σ_{i→j} π_i q_ij, the probability flux into state j.
+func (c *Chain) inflow(pi []float64, j int) float64 {
+	lo, hi := c.inStart[j], c.inStart[j+1]
+	q := c.inQ[lo:hi]
+	var in float64
+	for k, i := range c.inFrom[lo:hi] {
+		in += pi[i] * q[k]
+	}
+	return in
+}
+
+// residual returns ‖πQ‖∞ = max_j |Σ_{i→j} π_i q_ij − π_j q_j|.
+func (c *Chain) residual(pi []float64) float64 {
+	var sup float64
+	for j, p := range pi {
+		if r := math.Abs(c.inflow(pi, j) - p*c.outRate[j]); r > sup {
+			sup = r
+		}
+	}
+	return sup
 }
 
 // MeanHittingTimeToEmpty computes, for every state, the expected time to
@@ -218,9 +259,9 @@ func (c *Chain) MeanHittingTimeToEmpty(maxIter int, tol float64) ([]float64, err
 				continue
 			}
 			var sum float64
-			for _, e := range c.outs[i] {
-				if e.to != 0 {
-					sum += e.rate * h[e.to]
+			for k := c.outStart[i]; k < c.outStart[i+1]; k++ {
+				if to := c.outTo[k]; to != 0 {
+					sum += c.outQ[k] * h[to]
 				}
 			}
 			nv := (1 + sum) / c.outRate[i]

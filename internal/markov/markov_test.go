@@ -122,6 +122,114 @@ func TestStationaryIterationsIsABudget(t *testing.T) {
 	}
 }
 
+// TestStationaryNearThresholdE10 pins E10's K=1 λ0=1.2 chain at default
+// limits to its E[N] from a solve to residual 1e-16. Stopping on step size
+// instead of the residual left it wrong in the fifth digit.
+func TestStationaryNearThresholdE10(t *testing.T) {
+	c, err := Build(k1Params(1.2, 1, 1, 2), 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Stationary(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 6.69764533348
+	if rel := math.Abs(res.MeanN-want) / want; rel > 1e-8 {
+		t.Errorf("E[N] = %.12g, want %.12g (rel %.3g)", res.MeanN, want, rel)
+	}
+}
+
+// gth solves πQ = 0 by Grassmann–Taksar–Heyman elimination on a dense copy
+// of the generator's off-diagonal rates: subtraction-free, so exact to
+// rounding, and O(n³), so only for small chains.
+func gth(c *Chain) []float64 {
+	n := c.NumStates()
+	a := make([][]float64, n)
+	for i := range a {
+		a[i] = make([]float64, n)
+		for k := c.outStart[i]; k < c.outStart[i+1]; k++ {
+			a[i][c.outTo[k]] += c.outQ[k]
+		}
+	}
+	for k := n - 1; k > 0; k-- {
+		var s float64
+		for j := 0; j < k; j++ {
+			s += a[k][j]
+		}
+		for i := 0; i < k; i++ {
+			a[i][k] /= s
+			for j := 0; j < k; j++ {
+				a[i][j] += a[i][k] * a[k][j]
+			}
+		}
+	}
+	pi := make([]float64, n)
+	pi[0] = 1
+	sum := 1.0
+	for k := 1; k < n; k++ {
+		for i := 0; i < k; i++ {
+			pi[k] += pi[i] * a[i][k]
+		}
+		sum += pi[k]
+	}
+	for i := range pi {
+		pi[i] /= sum
+	}
+	return pi
+}
+
+// TestStationaryMatchesGTH checks the Gauss–Seidel solve at default limits
+// against exact elimination on a K=1 and a K=2 chain.
+func TestStationaryMatchesGTH(t *testing.T) {
+	k2 := model.Params{
+		K: 2, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 0.4, pieceset.MustOf(1): 0.2},
+	}
+	for _, tc := range []struct {
+		name string
+		p    model.Params
+		nmax int
+	}{
+		{"K=1", k1Params(0.8, 1, 1, 2), 20},
+		{"K=2", k2, 8},
+	} {
+		c, err := Build(tc.p, tc.nmax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Stationary(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := gth(c)
+		var meanN, maxDiff float64
+		for i, p := range want {
+			meanN += p * float64(c.State(i).N())
+			maxDiff = math.Max(maxDiff, math.Abs(res.Pi[i]-p))
+		}
+		if maxDiff > 1e-10 {
+			t.Errorf("%s: max |π_GS − π_GTH| = %.3g", tc.name, maxDiff)
+		}
+		if rel := math.Abs(res.MeanN-meanN) / meanN; rel > 1e-10 {
+			t.Errorf("%s: E[N] = %.12g, GTH %.12g (rel %.3g)", tc.name, res.MeanN, meanN, rel)
+		}
+	}
+}
+
+// TestStationaryAbsorbing: with no seed upload and only empty arrivals,
+// the full truncated population can never leave; the solver says so
+// instead of dividing by a zero out-rate.
+func TestStationaryAbsorbing(t *testing.T) {
+	c, err := Build(k1Params(0.5, 0, 1, 2), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stationary(0, 0); !errors.Is(err, ErrAbsorbing) {
+		t.Errorf("err = %v, want ErrAbsorbing", err)
+	}
+}
+
 // TestStationaryMatchesSimulatorK1 cross-validates the two independent
 // implementations of the same chain: exact solve vs long simulation.
 func TestStationaryMatchesSimulatorK1(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -27,8 +28,8 @@ func (c *Chain) TransientDistribution(x0 model.State, t, tail float64) ([]float6
 	if tail <= 0 {
 		tail = 1e-12
 	}
-	start, ok := c.index[x0.Key()]
-	if !ok {
+	start := slices.IndexFunc(c.states, func(x model.State) bool { return slices.Equal(x, x0) })
+	if start < 0 {
 		return nil, fmt.Errorf("%w: %v", ErrBadInitial, x0)
 	}
 	n := len(c.states)
@@ -75,8 +76,8 @@ func (c *Chain) TransientDistribution(x0 model.State, t, tail float64) ([]float6
 				continue
 			}
 			next[i] += mass * (1 - c.outRate[i]/uni)
-			for _, e := range c.outs[i] {
-				next[e.to] += mass * e.rate / uni
+			for k := c.outStart[i]; k < c.outStart[i+1]; k++ {
+				next[c.outTo[k]] += mass * c.outQ[k] / uni
 			}
 		}
 		cur, next = next, cur
