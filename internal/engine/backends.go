@@ -20,26 +20,54 @@ import (
 // ErrNoMeasure reports a backend constructed without a measurement.
 var ErrNoMeasure = errors.New("engine: backend has no Measure func")
 
-// attach wires an observer pipeline into a simulator's kernel tap. The
-// empty pipeline is not attached, so observer-less replicas keep the
-// nil-tap fast path.
-func attach(set *obs.Set, tappable interface{ SetTap(kernel.Tap) }) *obs.Set {
-	if set == nil || set.Empty() {
-		return nil
-	}
-	tappable.SetTap(set)
-	return set
+// tappable is a simulator an observer pipeline can watch: a kernel tap to
+// attach it to and a clock to seal it at.
+type tappable interface {
+	SetTap(kernel.Tap)
+	Now() float64
 }
 
-// sealRecord composes the replica record from the backend sample and the
-// sealed observer snapshot.
-func sealRecord(sample Sample, set *obs.Set, now float64) Record {
+// runSim is the one simulator-backend driver: build the replica's
+// simulator, attach its observer pipeline, measure, and fold the sealed
+// observer snapshot into the record. The empty pipeline is not attached,
+// so observer-less replicas keep the nil-tap fast path.
+func runSim[S tappable](ctx context.Context, rep int, build func() (S, error),
+	observe func(int, S) *obs.Set, measure func(context.Context, int, S) (Sample, error)) (Record, error) {
+	if measure == nil {
+		return Record{}, ErrNoMeasure
+	}
+	s, err := build()
+	if err != nil {
+		return Record{}, err
+	}
+	var set *obs.Set
+	if observe != nil {
+		if set = observe(rep, s); set != nil && !set.Empty() {
+			s.SetTap(set)
+		} else {
+			set = nil
+		}
+	}
+	sample, err := measure(ctx, rep, s)
+	if err != nil {
+		return Record{}, err
+	}
 	rec := Record{Values: sample}
 	if set != nil {
-		set.Seal(now)
+		set.Seal(s.Now())
 		rec.merge(set.Snapshot())
 	}
-	return rec
+	return rec, nil
+}
+
+// simOptions copies the caller's swarm options and appends the engine's:
+// the scenario overlay when active, then the replica stream last.
+func simOptions(opts []sim.Option, sc kernel.Scenario, r *rng.RNG) []sim.Option {
+	opts = append([]sim.Option{}, opts...)
+	if sc.Active() {
+		opts = append(opts, sim.WithScenario(sc))
+	}
+	return append(opts, sim.WithRNG(r))
 }
 
 // SwarmBackend drives the type-count simulator (internal/sim): each replica
@@ -69,27 +97,9 @@ func (b *SwarmBackend) Name() string { return orDefault(b.Label, "sim") }
 
 // RunReplica implements Backend.
 func (b *SwarmBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append([]sim.Option{}, b.Options...)
-	if b.Scenario.Active() {
-		opts = append(opts, sim.WithScenario(b.Scenario))
-	}
-	opts = append(opts, sim.WithRNG(r))
-	sw, err := sim.New(b.Params, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runSim(ctx, rep, func() (*sim.Swarm, error) {
+		return sim.New(b.Params, simOptions(b.Options, b.Scenario, r)...)
+	}, b.Observe, b.Measure)
 }
 
 // HybridBackend drives the adaptive multi-regime simulator
@@ -131,7 +141,7 @@ func (b *HybridBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Re
 	if err != nil {
 		return Record{}, err
 	}
-	return sealRecord(sample, nil, h.Now()), nil
+	return Record{Values: sample}, nil
 }
 
 // RecoveryBackend drives the fast-recovery variant of the type-count
@@ -154,27 +164,9 @@ func (b *RecoveryBackend) Name() string { return orDefault(b.Label, "recovery") 
 
 // RunReplica implements Backend.
 func (b *RecoveryBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append([]sim.Option{}, b.Options...)
-	if b.Scenario.Active() {
-		opts = append(opts, sim.WithScenario(b.Scenario))
-	}
-	opts = append(opts, sim.WithRNG(r))
-	sw, err := sim.NewRecovery(b.Params, b.Eta, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runSim(ctx, rep, func() (*sim.RecoverySwarm, error) {
+		return sim.NewRecovery(b.Params, b.Eta, simOptions(b.Options, b.Scenario, r)...)
+	}, b.Observe, b.Measure)
 }
 
 // CodedBackend drives the network-coding simulator (internal/codedsim).
@@ -193,23 +185,10 @@ func (b *CodedBackend) Name() string { return orDefault(b.Label, "codedsim") }
 
 // RunReplica implements Backend.
 func (b *CodedBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append(append([]codedsim.Option{}, b.Options...), codedsim.WithRNG(r))
-	sw, err := codedsim.New(b.Params, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runSim(ctx, rep, func() (*codedsim.Swarm, error) {
+		opts := append([]codedsim.Option{}, b.Options...)
+		return codedsim.New(b.Params, append(opts, codedsim.WithRNG(r))...)
+	}, b.Observe, b.Measure)
 }
 
 // PeerBackend drives the peer-granular simulator (internal/peersim), whose
@@ -233,27 +212,13 @@ func (b *PeerBackend) Name() string { return orDefault(b.Label, "peersim") }
 
 // RunReplica implements Backend.
 func (b *PeerBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	opts := append([]peersim.Option{}, b.Options...)
-	if b.Scenario.Active() {
-		opts = append(opts, peersim.WithScenario(b.Scenario))
-	}
-	opts = append(opts, peersim.WithRNG(r))
-	sw, err := peersim.New(b.Params, opts...)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, sw), sw)
-	}
-	sample, err := b.Measure(ctx, rep, sw)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, sw.Now()), nil
+	return runSim(ctx, rep, func() (*peersim.Swarm, error) {
+		opts := append([]peersim.Option{}, b.Options...)
+		if b.Scenario.Active() {
+			opts = append(opts, peersim.WithScenario(b.Scenario))
+		}
+		return peersim.New(b.Params, append(opts, peersim.WithRNG(r))...)
+	}, b.Observe, b.Measure)
 }
 
 // BorderlineBackend drives the µ=∞ embedded chain (internal/borderline).
@@ -273,22 +238,9 @@ func (b *BorderlineBackend) Name() string { return orDefault(b.Label, "borderlin
 
 // RunReplica implements Backend.
 func (b *BorderlineBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	if b.Measure == nil {
-		return Record{}, ErrNoMeasure
-	}
-	c, err := borderline.NewFromRNG(b.K, b.Lambda, r)
-	if err != nil {
-		return Record{}, err
-	}
-	var set *obs.Set
-	if b.Observe != nil {
-		set = attach(b.Observe(rep, c), c)
-	}
-	sample, err := b.Measure(ctx, rep, c)
-	if err != nil {
-		return Record{}, err
-	}
-	return sealRecord(sample, set, c.Now()), nil
+	return runSim(ctx, rep, func() (*borderline.Chain, error) {
+		return borderline.NewFromRNG(b.K, b.Lambda, r)
+	}, b.Observe, b.Measure)
 }
 
 func orDefault(label, def string) string {

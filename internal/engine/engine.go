@@ -1,9 +1,11 @@
 // Package engine is the parallel Monte-Carlo substrate shared by every
 // replicated experiment in the repository. A Job names a Backend (an
-// adapter over one of the simulators: the type-count swarm, the coded
-// swarm, the peer-granular swarm, or the µ=∞ borderline chain) and a
-// replica count; the engine fans the replicas across a worker pool while
-// keeping results bit-for-bit deterministic:
+// adapter over one of the simulators: the type-count swarm and its
+// fast-recovery variant, the coded swarm, the peer-granular swarm, the
+// µ=∞ borderline chain, or the adaptive hybrid) and a replica count. One
+// per-replica body runs every replica; a serial loop drives it for one
+// worker and a feeder with worker goroutines for more. Results stay
+// bit-for-bit deterministic:
 //
 //   - every replica runs on its own RNG stream, split off the base seed in
 //     replica order before any worker starts, so the stream assignment is
@@ -30,7 +32,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // Errors reported by the engine.
@@ -286,14 +287,10 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 	if job.Replicas <= 0 {
 		return nil, fmt.Errorf("%w (job %q)", ErrNoWork, job.Name)
 	}
-	// Job-level trace span on the shared "engine" track, covering stream
-	// derivation through aggregation and sink emission (error paths too).
-	var jb *trace.Buf
-	if tr := trace.Default(); tr != nil {
-		jb = tr.Track("engine")
-		job0 := jb.Now()
-		defer func() { jb.Span("job:"+job.Name, "engine", job0, int64(job.Replicas)) }()
-	}
+	// The job span covers stream derivation through aggregation and sink
+	// emission, error paths too.
+	p := newProbe(job.Name, job.Replicas)
+	defer p.end()
 	seed := job.Seed
 	if seed == 0 {
 		seed = 1
@@ -312,19 +309,14 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 		}
 	}
 
-	records, err := runPool(ctx, job, streams)
+	records, err := runPool(ctx, job, streams, p)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Job: job.Name, Replicas: job.Replicas, Records: records}
-	var agg0 int64
-	if jb != nil {
-		agg0 = jb.Now()
-	}
+	agg0 := p.jobNow()
 	res.aggregate()
-	if jb != nil {
-		jb.Span("job.aggregate", "engine", agg0, int64(job.Replicas))
-	}
+	p.jobSpan("job.aggregate", agg0)
 	if job.Sink != nil {
 		if err := emit(job, res); err != nil {
 			return nil, err

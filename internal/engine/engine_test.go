@@ -17,9 +17,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/peersim"
 	"repro/internal/pieceset"
+	"repro/internal/racegate"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stability"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 func testParams() model.Params {
@@ -199,79 +202,89 @@ func TestErrorPropagation(t *testing.T) {
 }
 
 func TestCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := make(chan struct{})
-	var once sync.Once
-	go func() {
-		<-started
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		var once sync.Once
+		go func() {
+			<-started
+			cancel()
+		}()
+		_, err := Run(ctx, Job{
+			Name: "cancelled",
+			Backend: Func{Fn: func(ctx context.Context, rep int, r *rng.RNG) (Sample, error) {
+				once.Do(func() { close(started) })
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}},
+			Replicas: 8,
+			Workers:  workers,
+		})
 		cancel()
-	}()
-	_, err := Run(ctx, Job{
-		Name: "cancelled",
-		Backend: Func{Fn: func(ctx context.Context, rep int, r *rng.RNG) (Sample, error) {
-			once.Do(func() { close(started) })
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}},
-		Replicas: 8,
-		Workers:  2,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error = %v, want context.Canceled", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: error = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 
 func TestCancelStopsRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := 0
-	var mu sync.Mutex
-	_, err := Run(ctx, Job{
-		Name: "cancel-mid-run",
-		Backend: Func{Fn: func(ctx context.Context, rep int, r *rng.RNG) (Sample, error) {
-			mu.Lock()
-			ran++
-			if ran == 2 {
-				cancel()
-			}
-			mu.Unlock()
-			return Sample{}, nil
-		}},
-		Replicas: 1000,
-		Workers:  2,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if ran >= 1000 {
-		t.Errorf("cancellation did not stop the run (ran %d replicas)", ran)
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ran := 0
+		var mu sync.Mutex
+		_, err := Run(ctx, Job{
+			Name: "cancel-mid-run",
+			Backend: Func{Fn: func(ctx context.Context, rep int, r *rng.RNG) (Sample, error) {
+				mu.Lock()
+				ran++
+				if ran == 2 {
+					cancel()
+				}
+				mu.Unlock()
+				return Sample{}, nil
+			}},
+			Replicas: 1000,
+			Workers:  workers,
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: error = %v, want context.Canceled", workers, err)
+		}
+		mu.Lock()
+		if ran >= 1000 {
+			t.Errorf("workers=%d: cancellation did not stop the run (ran %d replicas)", workers, ran)
+		}
+		if workers == 1 && ran != 2 {
+			t.Errorf("workers=1: ran %d replicas, want 2 (the serial pool stops at the next replica)", ran)
+		}
+		mu.Unlock()
 	}
 }
 
 func TestProgress(t *testing.T) {
-	var mu sync.Mutex
-	var calls []int
-	job := swarmJob(4)
-	job.Progress = func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if total != 12 {
-			t.Errorf("progress total = %d, want 12", total)
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		var calls []int
+		job := swarmJob(workers)
+		job.Progress = func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if total != 12 {
+				t.Errorf("workers=%d: progress total = %d, want 12", workers, total)
+			}
+			calls = append(calls, done)
 		}
-		calls = append(calls, done)
-	}
-	if _, err := Run(context.Background(), job); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 12 {
-		t.Fatalf("progress called %d times, want 12", len(calls))
-	}
-	for i, done := range calls {
-		if done != i+1 {
-			t.Errorf("progress calls out of order: %v", calls)
-			break
+		if _, err := Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		if len(calls) != 12 {
+			t.Fatalf("workers=%d: progress called %d times, want 12", workers, len(calls))
+		}
+		for i, done := range calls {
+			if done != i+1 {
+				t.Errorf("workers=%d: progress calls out of order: %v", workers, calls)
+				break
+			}
 		}
 	}
 }
@@ -465,6 +478,7 @@ func TestBackends(t *testing.T) {
 			&CodedBackend{},
 			&PeerBackend{Params: testParams()},
 			&BorderlineBackend{K: 2, Lambda: 1},
+			&HybridBackend{Params: testParams()},
 		} {
 			_, err := Run(context.Background(), Job{Name: "nm", Backend: b, Replicas: 1})
 			if !errors.Is(err, ErrNoMeasure) {
@@ -485,6 +499,7 @@ func TestBackendNames(t *testing.T) {
 		{&CodedBackend{}, "codedsim"},
 		{&PeerBackend{}, "peersim"},
 		{&BorderlineBackend{}, "borderline"},
+		{&HybridBackend{}, "hybrid"},
 		{Func{}, "func"},
 		{Func{Label: "f"}, "f"},
 	}
@@ -639,3 +654,35 @@ func TestManyReplicasSmoke(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRunSerialJobAllocs pins the serial pool's per-job cost: a
+// 4-replica, one-worker Func job with instrumentation off allocates no
+// more than the 11 objects it did before the serial and parallel pools
+// shared one replica body (stream slice, base and replica RNGs, records,
+// errors, pool state, result, aggregate map). A driver that adds a
+// goroutine, a channel, a cancel context, or a heap-escaping closure per
+// job fails it.
+func TestRunSerialJobAllocs(t *testing.T) {
+	if racegate.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	telemetry.SetDefault(nil)
+	trace.SetDefault(nil)
+	job := Job{
+		Name: "allocs",
+		Backend: Func{Fn: func(ctx context.Context, rep int, r *rng.RNG) (Sample, error) {
+			return nil, nil
+		}},
+		Replicas: 4,
+		Workers:  1,
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Run(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 11 {
+		t.Errorf("serial 4-replica job: %v allocs/run, want <= 11", allocs)
+	}
+}

@@ -66,28 +66,42 @@ func TestPoolMetricsDeterministicCounts(t *testing.T) {
 }
 
 // TestPoolMetricsFailures: a failing replica lands in the failed counter,
-// and started still counts every launched replica.
+// and started counts exactly the replicas that ran. On the parallel pool,
+// replicas handed out after the failure are drained without being started,
+// so the counts do not depend on the schedule: replicas 0-2 block until
+// the failure of replica 3 cancels the pool, then succeed.
 func TestPoolMetricsFailures(t *testing.T) {
 	defer telemetry.SetDefault(nil)
-	reg := telemetry.New()
-	telemetry.SetDefault(reg)
 	boom := errors.New("boom")
-	job := Job{
-		Name: "failing",
-		Backend: Func{Fn: func(ctx context.Context, rep int, r *rng.RNG) (Sample, error) {
-			if rep == 3 {
-				return nil, boom
-			}
-			return Sample{"x": 1}, nil
-		}},
-		Replicas: 8,
-		Seed:     1,
-		Workers:  1, // serial: stops handing out work at the first failure
+	run := func(workers, replicas int, fn func(ctx context.Context, rep int) error) telemetry.Snapshot {
+		t.Helper()
+		reg := telemetry.New()
+		telemetry.SetDefault(reg)
+		_, err := Run(context.Background(), Job{
+			Name: "failing",
+			Backend: Func{Fn: func(ctx context.Context, rep int, r *rng.RNG) (Sample, error) {
+				if err := fn(ctx, rep); err != nil {
+					return nil, err
+				}
+				return Sample{"x": 1}, nil
+			}},
+			Replicas: replicas,
+			Seed:     1,
+			Workers:  workers,
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		}
+		return reg.Snapshot()
 	}
-	if _, err := Run(context.Background(), job); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	snap := reg.Snapshot()
+
+	// Serial: stops handing out work at the first failure.
+	snap := run(1, 8, func(ctx context.Context, rep int) error {
+		if rep == 3 {
+			return boom
+		}
+		return nil
+	})
 	if got := snap.Counters[telemetry.EngineReplicasFailed]; got != 1 {
 		t.Errorf("failed = %d, want 1", got)
 	}
@@ -96,6 +110,29 @@ func TestPoolMetricsFailures(t *testing.T) {
 	}
 	if got := snap.Counters[telemetry.EngineReplicasCompleted]; got != 3 {
 		t.Errorf("completed = %d, want 3", got)
+	}
+
+	bad := 0
+	for trial := 0; trial < 20; trial++ {
+		snap := run(4, 64, func(ctx context.Context, rep int) error {
+			switch {
+			case rep < 3:
+				<-ctx.Done()
+			case rep == 3:
+				return boom
+			}
+			return nil
+		})
+		started := snap.Counters[telemetry.EngineReplicasStarted]
+		completed := snap.Counters[telemetry.EngineReplicasCompleted]
+		failed := snap.Counters[telemetry.EngineReplicasFailed]
+		if failed != 1 || started != completed+1 {
+			bad++
+			t.Logf("trial %d: started=%d completed=%d failed=%d", trial, started, completed, failed)
+		}
+	}
+	if bad > 0 {
+		t.Errorf("parallel pool: %d of 20 trials counted replicas it never ran (want failed == 1, started == completed+1)", bad)
 	}
 }
 

@@ -5,214 +5,114 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/rng"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
-// runPool fans the replicas across the job's worker pool and returns the
-// structured records indexed by replica. On any replica error the remaining
-// work is cancelled and a real backend failure is reported in preference to
-// the cancellations it spread; with several independently failing replicas
-// the one reported may vary with scheduling (successful runs stay
-// bit-for-bit deterministic — only the error path is schedule-dependent).
-//
-// When telemetry is enabled the pool records replica lifecycle counts, a
-// per-replica busy-time histogram, queue-wait times, and per-worker
-// busy/idle counters; when tracing is enabled it additionally records
-// queue-wait and busy spans per replica, a lifecycle span per worker, and
-// anomaly marks for replica errors and p99 stragglers (trace.go).
-// Instrumentation reads the clock a handful of times per replica and never
-// touches records, streams, or sinks, so it cannot perturb the
-// deterministic outputs.
-func runPool(ctx context.Context, job Job, streams []*rng.RNG) ([]Record, error) {
+// pool is one job's replica state, shared by the serial and parallel
+// drivers, which differ only in how they hand replica indices to the one
+// per-replica body, pool.replica.
+type pool struct {
+	job     Job
+	streams []*rng.RNG
+	records []Record
+	errs    []error
+	probe   *probe
+	mu      sync.Mutex // serializes Progress calls
+	done    int
+}
+
+// runPool runs the job's replicas and returns their records, indexed by
+// replica. One worker runs them in order on the caller's goroutine; more
+// take them from a feeder. On a replica error the remaining work is
+// cancelled and a real backend failure is reported in preference to the
+// cancellations it spread; with several independently failing replicas the
+// one reported may vary with scheduling (successful runs stay bit-for-bit
+// deterministic — only the error path is schedule-dependent).
+func runPool(ctx context.Context, job Job, streams []*rng.RNG, p *probe) ([]Record, error) {
 	n := len(streams)
 	workers := job.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > n {
-		workers = n
+	pl := &pool{job: job, streams: streams, records: make([]Record, n), errs: make([]error, n), probe: p}
+	if workers = min(workers, n); workers == 1 {
+		pl.serial(ctx)
+	} else {
+		pl.parallel(ctx, workers)
 	}
-
-	records := make([]Record, n)
-	errs := make([]error, n)
-	met := newPoolMetrics()
-	trc := newPoolTrace(n, workers > 1, met)
-
-	runOne := func(ctx context.Context, i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		rec, err := job.Backend.RunReplica(ctx, i, streams[i])
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: job %q replica %d: %w", job.Name, i, err)
-			return
-		}
-		records[i] = rec
+	if err := firstError(ctx, pl.errs); err != nil {
+		return nil, err
 	}
+	return pl.records, nil
+}
 
-	if workers == 1 {
-		// Serial fast path: no goroutines, no channels, same code path for
-		// each replica so results match the parallel schedule exactly.
-		var busy telemetry.Count
-		if met != nil {
-			busy, _ = met.workerCounts(0) // the serial worker never idles
-		}
-		var tb *trace.Buf
-		if trc != nil {
-			tb = trc.worker(0)
-		}
-		for i := range streams {
-			var ts0 int64
-			if tb != nil {
-				ts0 = tb.Now()
-			}
-			var d time.Duration
-			if met == nil {
-				runOne(ctx, i)
-			} else {
-				met.started.Inc()
-				t0 := time.Now()
-				runOne(ctx, i)
-				d = time.Since(t0)
-				busy.Add(uint64(d.Nanoseconds()))
-				met.replicaDone(d, 0, errs[i])
-			}
-			if tb != nil {
-				tb.Span("replica", "engine", ts0, int64(i))
-				if errs[i] != nil {
-					tb.Anomaly("replica.error", int64(i))
-				} else if met != nil {
-					trc.straggler(tb, d, i)
-				}
-			}
-			if errs[i] != nil {
-				return nil, firstError(ctx, errs)
-			}
-			if job.Progress != nil {
-				job.Progress(i+1, n)
-			}
-		}
-		return records, nil
+// replica runs replica i on worker w: instrument the start, run the
+// backend, record the outcome, instrument the end, report progress.
+func (pl *pool) replica(ctx context.Context, w *probeWorker, i int) error {
+	w.start(i)
+	rec, err := pl.job.Backend.RunReplica(ctx, i, pl.streams[i])
+	if err != nil {
+		err = fmt.Errorf("engine: job %q replica %d: %w", pl.job.Name, i, err)
+		pl.errs[i] = err
+	} else {
+		pl.records[i] = rec
 	}
+	w.done(i, err)
+	if err == nil && pl.job.Progress != nil {
+		pl.mu.Lock()
+		pl.done++
+		pl.job.Progress(pl.done, len(pl.streams))
+		pl.mu.Unlock()
+	}
+	return err
+}
 
-	poolCtx, cancel := context.WithCancel(ctx)
+// serial runs the replicas in order until the first failure or cancel.
+func (pl *pool) serial(ctx context.Context) {
+	w := pl.probe.worker(0)
+	for i := range pl.streams {
+		if ctx.Err() != nil || pl.replica(ctx, &w, i) != nil {
+			break
+		}
+	}
+	w.close()
+}
+
+// parallel feeds replica indices to worker goroutines. A failure cancels
+// the pool: the feeder stops, running replicas see the cancel, and an
+// index received after it is drained unstarted, so it counts as neither
+// started nor failed.
+func (pl *pool) parallel(ctx context.Context, workers int) {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		progress sync.Mutex
-		done     int
-	)
-	// sentAt records when the feeder handed each index out, so workers can
-	// report queue wait. Allocated (and the clock read) only when telemetry
-	// is on; the write happens before the channel send and the read after
-	// the receive, so the slice needs no lock.
-	var sentAt []time.Time
-	if met != nil {
-		sentAt = make([]time.Time, n)
-	}
+	pl.probe.queue(len(pl.streams))
 	indices := make(chan int)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var (
-				busyCt, idleCt telemetry.Count
-				loopStart      time.Time
-				busyTotal      time.Duration
-			)
-			if met != nil {
-				busyCt, idleCt = met.workerCounts(w)
-				loopStart = time.Now()
-			}
-			var (
-				tb      *trace.Buf
-				loop0   int64
-				handled int64
-			)
-			if trc != nil {
-				tb = trc.worker(w)
-				loop0 = tb.Now()
-			}
+			pw := pl.probe.worker(w)
 			for i := range indices {
-				var ts0 int64
-				if tb != nil {
-					ts0 = tb.Now()
-					if s := trc.sent[i]; ts0 > s {
-						tb.Span("replica.wait", "engine", s, int64(i))
-					}
-				}
-				var t0 time.Time
-				if met != nil {
-					t0 = time.Now()
-					met.started.Inc()
-				}
-				runOne(poolCtx, i)
-				var d time.Duration
-				if met != nil {
-					d = time.Since(t0)
-					busyTotal += d
-					busyCt.Add(uint64(d.Nanoseconds()))
-					met.replicaDone(d, t0.Sub(sentAt[i]), errs[i])
-				}
-				if tb != nil {
-					tb.Span("replica", "engine", ts0, int64(i))
-					handled++
-					if errs[i] != nil {
-						tb.Anomaly("replica.error", int64(i))
-					} else if met != nil {
-						trc.straggler(tb, d, i)
-					}
-				}
-				if errs[i] != nil {
-					// Stop handing out work; already-running replicas
-					// observe the cancellation through their context.
+				if ctx.Err() == nil && pl.replica(ctx, &pw, i) != nil {
 					cancel()
-					continue
-				}
-				if job.Progress != nil {
-					progress.Lock()
-					done++
-					job.Progress(done, n)
-					progress.Unlock()
 				}
 			}
-			if tb != nil {
-				tb.Span("worker.loop", "engine", loop0, handled)
-			}
-			if met != nil {
-				if idleT := time.Since(loopStart) - busyTotal; idleT > 0 {
-					idleCt.Add(uint64(idleT.Nanoseconds()))
-				}
-			}
+			pw.close()
 		}(w)
 	}
 feed:
-	for i := range streams {
-		if sentAt != nil {
-			sentAt[i] = time.Now()
-		}
-		if trc != nil {
-			trc.sent[i] = trc.tr.Now()
-		}
+	for i := range pl.streams {
+		pl.probe.handOut(i)
 		select {
 		case indices <- i:
-		case <-poolCtx.Done():
+		case <-ctx.Done():
 			break feed
 		}
 	}
 	close(indices)
 	wg.Wait()
-
-	if err := firstError(ctx, errs); err != nil {
-		return nil, err
-	}
-	return records, nil
 }
 
 // firstError returns the lowest-replica real failure, skipping the bare

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -45,8 +47,8 @@ const (
 	recFlagMarks
 )
 
-// aggStats are the aggregate row kinds, in emission order; each becomes
-// one field "agg.<stat>" row.
+// aggStats are the aggregate row kinds, in emission order (the order of
+// MetricAggregate's fields); each becomes one field "agg.<stat>" row.
 var aggStats = []string{"n", "mean", "std", "ci95", "min", "max"}
 
 // RecordStoreSchema returns the column layout StoreSink writes.
@@ -180,23 +182,8 @@ func (s *StoreSink) WriteAggregate(rec AggregateRecord) error {
 	}
 	for _, k := range sortedKeys(rec.Metrics) {
 		m := rec.Metrics[k]
-		for _, stat := range aggStats {
-			var v float64
-			switch stat {
-			case "n":
-				v = float64(m.N)
-			case "mean":
-				v = m.Mean
-			case "std":
-				v = m.Std
-			case "ci95":
-				v = m.CI95
-			case "min":
-				v = m.Min
-			case "max":
-				v = m.Max
-			}
-			if err := s.put(aggPrefix+stat, k, 0, v); err != nil {
+		for j, v := range [...]float64{float64(m.N), m.Mean, m.Std, m.CI95, m.Min, m.Max} {
+			if err := s.put(aggPrefix+aggStats[j], k, 0, v); err != nil {
 				return err
 			}
 		}
@@ -319,8 +306,8 @@ func StoreToJSONL(w io.Writer, r *store.Reader) error {
 			}
 			cur.marks[name] = v
 		default:
-			stat, ok := cutAggStat(field)
-			if !ok {
+			stat, ok := strings.CutPrefix(field, aggPrefix)
+			if !ok || !slices.Contains(aggStats, stat) {
 				return fmt.Errorf("engine: store row %d: unknown field %q", i, field)
 			}
 			if cur.aggs == nil {
@@ -349,17 +336,4 @@ func StoreToJSONL(w io.Writer, r *store.Reader) error {
 		return err
 	}
 	return cur.emit(enc)
-}
-
-// cutAggStat splits an "agg.<stat>" field, validating the stat name.
-func cutAggStat(field string) (string, bool) {
-	if len(field) <= len(aggPrefix) || field[:len(aggPrefix)] != aggPrefix {
-		return "", false
-	}
-	stat := field[len(aggPrefix):]
-	switch stat {
-	case "n", "mean", "std", "ci95", "min", "max":
-		return stat, true
-	}
-	return "", false
 }

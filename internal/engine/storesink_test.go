@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -185,7 +186,7 @@ func TestStoreAggMatchesWelford(t *testing.T) {
 			}
 			s.Add(v)
 		default:
-			if stat, ok := cutAggStat(field); ok {
+			if stat, ok := strings.CutPrefix(field, aggPrefix); ok {
 				if stored[name] == nil {
 					stored[name] = map[string]float64{}
 				}

@@ -46,7 +46,9 @@ func traceNames(t *testing.T, workers int, job Job) (map[string]int, *Result) {
 }
 
 // TestPoolTraceSpans: a traced job records one busy span per replica, a
-// lifecycle span per parallel worker, the job and aggregation spans — and
+// lifecycle span per worker (the serial pool's one included), at most one
+// queue-wait span per replica and none on the serial pool, the job and
+// aggregation spans — and
 // the deterministic aggregate matches an untraced run exactly.
 func TestPoolTraceSpans(t *testing.T) {
 	defer trace.SetDefault(nil)
@@ -73,8 +75,11 @@ func TestPoolTraceSpans(t *testing.T) {
 			t.Errorf("workers=%d: job/aggregate spans = %d/%d, want 1/1",
 				workers, names["job:traced"], names["job.aggregate"])
 		}
-		if workers > 1 && names["worker.loop"] != workers {
+		if names["worker.loop"] != workers {
 			t.Errorf("workers=%d: worker.loop spans = %d", workers, names["worker.loop"])
+		}
+		if waits := names["replica.wait"]; (workers == 1 && waits != 0) || waits > replicas {
+			t.Errorf("workers=%d: replica.wait spans = %d", workers, waits)
 		}
 		for _, k := range base.Keys() {
 			if res.Mean(k) != base.Mean(k) {
