@@ -105,18 +105,21 @@ func BenchmarkCodedStep(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratorTransitions measures generator-row enumeration, the
-// exact solver's inner loop.
+// BenchmarkGeneratorTransitions measures generator-row enumeration by
+// Generator.Walk, the exact solver's inner loop (allocation-free).
 func BenchmarkGeneratorTransitions(b *testing.B) {
 	p := benchParams(4)
 	x := model.NewState(4)
 	for i := range x {
 		x[i] = i % 3
 	}
+	gen, next := p.Generator(), model.NewState(4)
+	var total float64
+	visit := func(t model.Transition) { total += t.Rate }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Transitions(x); err != nil {
+		if err := gen.Walk(x, next, visit); err != nil {
 			b.Fatal(err)
 		}
 	}

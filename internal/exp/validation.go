@@ -95,17 +95,14 @@ func RunE10(cfg Config) (*Table, error) {
 
 	// Third implementation cross-check: the peer-granular simulator's mean
 	// sojourn time against Little's law E[T] = E[N]/λ on the exact E[N] of
-	// the first case, replicated through the engine.
+	// the first case (solved above by its replica), replicated through the
+	// engine.
 	littleCase := cases[0]
 	sysL, err := core.NewSystem(littleCase.p)
 	if err != nil {
 		return nil, err
 	}
-	exactL, err := sysL.ExactStationary(littleCase.nmax)
-	if err != nil {
-		return nil, err
-	}
-	wantT := sysL.MeanSojournTime(exactL.MeanN)
+	wantT := sysL.MeanSojournTime(res.Sample(0)["exact_en"])
 	peerHorizon := cfg.pick(3000, 15000)
 	resL, err := cfg.run(cfg.job("E10/little", &engine.PeerBackend{
 		Label:  "little",

@@ -12,8 +12,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/model"
+	"repro/internal/pieceset"
 )
 
 // Errors reported by the solver.
@@ -49,6 +51,9 @@ type Chain struct {
 // Build enumerates the reachable truncated space via breadth-first search
 // from the empty state. Arrival transitions that would push the population
 // beyond nmax are censored (dropped), the standard reflecting truncation.
+// States are indexed during the search by their rank (see ranker); a state
+// space whose ranks overflow uint64 fails with ErrTooLarge before any state
+// is enumerated.
 func Build(p model.Params, nmax int) (*Chain, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("markov: %w", err)
@@ -56,43 +61,59 @@ func Build(p model.Params, nmax int) (*Chain, error) {
 	if nmax <= 0 {
 		return nil, ErrBadNMax
 	}
-	c := &Chain{params: p, nmax: nmax}
-	// index maps state keys to indices during the search only.
-	index := make(map[string]int32)
-	add := func(x model.State) int32 {
-		idx := int32(len(c.states))
-		c.states = append(c.states, x)
-		index[x.Key()] = idx
-		return idx
+	if nmax >= MaxStates {
+		// Arrivals alone reach nmax+1 states, so the search would fail
+		// anyway; failing here also bounds the binomial table.
+		return nil, fmt.Errorf("%w: nmax %d admits more than %d states", ErrTooLarge, nmax, MaxStates)
 	}
-	add(model.NewState(p.K))
+	rk, err := newRanker(p, nmax)
+	if err != nil {
+		return nil, err
+	}
+	c := &Chain{params: p, nmax: nmax}
+	// index maps state ranks to indices during the search only.
+	index := make(map[uint64]int32)
+	empty := model.NewState(p.K)
+	c.states = append(c.states, empty)
+	index[rk.rank(empty)] = 0
+	gen := p.Generator()
+	next := model.NewState(p.K)
 	var outTo []int32
 	var outQ []float64
+	var n int
+	var total float64
+	visit := func(tr model.Transition) {
+		if err != nil || tr.Kind == model.KindArrival && n == nmax {
+			return // censored arrival at the boundary
+		}
+		r := rk.rank(tr.Next)
+		idx, ok := index[r]
+		if !ok {
+			if len(c.states) >= MaxStates {
+				err = fmt.Errorf("%w: more than %d states", ErrTooLarge, MaxStates)
+				return
+			}
+			idx = int32(len(c.states))
+			c.states = append(c.states, tr.Next.Clone())
+			index[r] = idx
+		}
+		if len(outTo) == math.MaxInt32 {
+			err = fmt.Errorf("%w: more than %d transitions", ErrTooLarge, math.MaxInt32)
+			return
+		}
+		outTo = append(outTo, idx)
+		outQ = append(outQ, tr.Rate)
+		total += tr.Rate
+	}
 	for head := 0; head < len(c.states); head++ {
 		x := c.states[head]
-		ts, err := p.Transitions(x)
+		n, total = x.N(), 0
+		c.outStart = append(c.outStart, int32(len(outTo)))
+		if werr := gen.Walk(x, next, visit); werr != nil {
+			return nil, werr
+		}
 		if err != nil {
 			return nil, err
-		}
-		if len(outTo) > math.MaxInt32-len(ts) {
-			return nil, fmt.Errorf("%w: more than %d transitions", ErrTooLarge, math.MaxInt32)
-		}
-		c.outStart = append(c.outStart, int32(len(outTo)))
-		var total float64
-		for _, tr := range ts {
-			if tr.Next.N() > nmax {
-				continue // censored arrival at the boundary
-			}
-			idx, ok := index[tr.Next.Key()]
-			if !ok {
-				if len(c.states) >= MaxStates {
-					return nil, fmt.Errorf("%w: more than %d states", ErrTooLarge, MaxStates)
-				}
-				idx = add(tr.Next)
-			}
-			outTo = append(outTo, idx)
-			outQ = append(outQ, tr.Rate)
-			total += tr.Rate
 		}
 		c.outRate = append(c.outRate, total)
 	}
@@ -102,6 +123,69 @@ func Build(p model.Params, nmax int) (*Chain, error) {
 	c.outQ = append([]float64(nil), outQ...)
 	c.transpose()
 	return c, nil
+}
+
+// ranker ranks states in the combinatorial number system (Knuth, TAOCP 4A
+// §7.2.1.3) over the chain's support types t_1 < … < t_d: the types that
+// contain a positive-rate arrival type, without F when γ = ∞. Peers only
+// gain pieces and a γ = ∞ completion departs, so no reachable state holds a
+// peer of any other type. With prefix sums s_j = x_{t_1} + … + x_{t_j}, the
+// rank Σ_j C(s_j + j − 1, j) maps the states with N ≤ nmax one-to-one onto
+// [0, C(nmax + d, d)): the d-subset {s_j + j − 1} of {0, …, nmax + d − 1}
+// encodes the vector by stars and bars.
+type ranker struct {
+	support []int // support type indices, ascending
+	// binom[j*stride + s] = C(s + j, j + 1) for j < d and s ≤ nmax+1.
+	binom  []uint64
+	stride int
+}
+
+// newRanker precomputes the binomials of p's support types up to nmax by
+// Pascal's rule, failing with ErrTooLarge if C(nmax + d, d) overflows.
+func newRanker(p model.Params, nmax int) (*ranker, error) {
+	full := pieceset.Full(p.K)
+	arrivals := p.ArrivalTypes()
+	r := &ranker{stride: nmax + 2}
+	for t := pieceset.Set(0); t <= full; t++ {
+		if t == full && p.GammaInf() {
+			continue
+		}
+		for _, a := range arrivals {
+			if a.SubsetOf(t) {
+				r.support = append(r.support, int(t))
+				break
+			}
+		}
+	}
+	d := len(r.support)
+	r.binom = make([]uint64, d*r.stride)
+	// Row j holds T_j(s) = C(s + j − 1, j), one-based j: T_1(s) = s and
+	// T_j(s) = T_{j−1}(s) + T_j(s−1) with T_j(0) = 0. Every entry is at most
+	// T_d(nmax+1) = C(nmax + d, d), the number of ranks.
+	for s := 0; s < r.stride; s++ {
+		r.binom[s] = uint64(s)
+	}
+	for j := 1; j < d; j++ {
+		row, prev := r.binom[j*r.stride:(j+1)*r.stride], r.binom[(j-1)*r.stride:j*r.stride]
+		for s := 1; s < r.stride; s++ {
+			var carry uint64
+			if row[s], carry = bits.Add64(prev[s], row[s-1], 0); carry != 0 {
+				return nil, fmt.Errorf("%w: ranks of %d support types with N ≤ %d overflow uint64", ErrTooLarge, d, nmax)
+			}
+		}
+	}
+	return r, nil
+}
+
+// rank returns the rank of a state with N ≤ nmax.
+func (r *ranker) rank(x model.State) uint64 {
+	var rank uint64
+	s := 0
+	for j, t := range r.support {
+		s += x[t]
+		rank += r.binom[j*r.stride+s]
+	}
+	return rank
 }
 
 // transpose fills the in-edge rows from the out-edge rows by a counting

@@ -2,12 +2,14 @@ package markov
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/pieceset"
+	"repro/internal/racegate"
 	"repro/internal/sim"
 )
 
@@ -376,5 +378,96 @@ func TestGammaInfChain(t *testing.T) {
 	}
 	if res.MeanN <= 0 {
 		t.Errorf("MeanN = %v", res.MeanN)
+	}
+}
+
+// TestBuildTooLarge: a state space whose ranks overflow uint64 fails with
+// ErrTooLarge when the binomials are precomputed, before any state is
+// enumerated (C(10016, 16) ≈ 5e50 ranks; the search would run out of memory
+// long before MaxStates).
+func TestBuildTooLarge(t *testing.T) {
+	p := model.Params{
+		K: 4, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 1},
+	}
+	c, err := Build(p, 10_000)
+	if !errors.Is(err, ErrTooLarge) || c != nil {
+		t.Fatalf("Build = %v, %v; want ErrTooLarge", c, err)
+	}
+	if !strings.Contains(err.Error(), "overflow") {
+		t.Errorf("err = %q, want the rank overflow", err)
+	}
+	if _, err := Build(k1Params(1, 1, 1, 2), MaxStates); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("nmax = MaxStates: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestBuildAllocs pins Build's allocation-free transition walk: E10's K=2
+// chain at nmax 30 costs at most 2 allocations per state (the stored state
+// plus amortised map and slice growth), against 38 when every transition
+// cloned its next state and every state re-sorted the arrival types.
+func TestBuildAllocs(t *testing.T) {
+	if racegate.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	p := model.Params{
+		K: 2, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.Empty: 0.4, pieceset.MustOf(1): 0.2},
+	}
+	var states int
+	allocs := testing.AllocsPerRun(3, func() {
+		c, err := Build(p, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = c.NumStates()
+	})
+	perState := allocs / float64(states)
+	t.Logf("Build: %.0f allocs for %d states = %.2f per state", allocs, states, perState)
+	if perState > 2 {
+		t.Errorf("Build: %.0f allocs for %d states = %.2f per state, want <= 2", allocs, states, perState)
+	}
+}
+
+// TestRankerBijection: the rank maps the states over the support types with
+// N ≤ nmax one-to-one onto [0, C(nmax + d, d)).
+func TestRankerBijection(t *testing.T) {
+	p := model.Params{
+		K: 3, Us: 1, Mu: 1, Gamma: 2,
+		Lambda: map[pieceset.Set]float64{pieceset.MustOf(1): 1},
+	}
+	const nmax = 6
+	r, err := newRanker(p, nmax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The supersets of {1}: {1}, {1,2}, {1,3} and F.
+	if fmt.Sprint(r.support) != "[1 3 5 7]" {
+		t.Fatalf("support = %v, want [1 3 5 7]", r.support)
+	}
+	const ranks = 210 // C(nmax + 4, 4)
+	seen := make([]bool, ranks)
+	x := model.NewState(3)
+	var fill func(j, left int)
+	fill = func(j, left int) {
+		if j == len(r.support) {
+			k := r.rank(x)
+			if k >= ranks || seen[k] {
+				t.Fatalf("rank(%v) = %d: out of range or repeated", x, k)
+			}
+			seen[k] = true
+			return
+		}
+		for v := 0; v <= left; v++ {
+			x[r.support[j]] = v
+			fill(j+1, left-v)
+		}
+		x[r.support[j]] = 0
+	}
+	fill(0, nmax)
+	for k, ok := range seen {
+		if !ok {
+			t.Fatalf("rank %d unused", k)
+		}
 	}
 }

@@ -176,7 +176,8 @@ func (s State) N() int {
 // Count returns x_C.
 func (s State) Count(c pieceset.Set) int { return s[int(c)] }
 
-// Key returns a canonical string encoding for use as a map key in solvers.
+// Key returns a canonical string encoding of the state for use as a map
+// key where speed does not matter (the exact solver ranks states instead).
 func (s State) Key() string {
 	var b strings.Builder
 	for i, x := range s {
@@ -214,6 +215,12 @@ func (p Params) UploadRate(x State, c pieceset.Set, i int) float64 {
 	if n == 0 {
 		return 0
 	}
+	return p.uploadRate(x, c, i, xc, n)
+}
+
+// uploadRate is UploadRate for a valid state with x_C = xc > 0 peers out of
+// n, and i ∉ C.
+func (p Params) uploadRate(x State, c pieceset.Set, i, xc, n int) float64 {
 	// Seed term: the seed picks the target uniformly (prob x_C/n) and then
 	// a needed piece uniformly among the K−|C| missing ones.
 	rate := p.Us / float64(p.K-c.Size())
@@ -273,65 +280,102 @@ func (k TransitionKind) String() string {
 	}
 }
 
-// Transitions enumerates every positive-rate transition out of state x,
-// exactly the positive entries of the generator matrix Q defined in
-// Section III. The caller owns the returned states.
-func (p Params) Transitions(x State) ([]Transition, error) {
+// Generator enumerates the generator rows of one parameter set without
+// allocating: the arrival types are sorted once, and every next state is
+// written into a caller-owned scratch state. It is the one implementation of
+// the transition rules; Transitions, TotalRate, Drift and the exact solver
+// all enumerate through it.
+type Generator struct {
+	p        Params
+	arrivals []pieceset.Set // positive-rate arrival types, ascending
+	full     pieceset.Set
+}
+
+// Generator returns the row enumerator of p.
+func (p Params) Generator() *Generator {
+	return &Generator{p: p, arrivals: p.ArrivalTypes(), full: pieceset.Full(p.K)}
+}
+
+// Walk calls visit for every positive-rate transition out of state x —
+// exactly the positive entries of the generator matrix Q defined in Section
+// III — in a fixed order: arrivals by ascending type, then the peer-seed
+// departure, then uploads by ascending (C, i). Each transition's Next is
+// next, holding the target state for the duration of the call: visit must
+// neither modify nor retain it. On return next equals x.
+func (g *Generator) Walk(x, next State, visit func(Transition)) error {
+	p := g.p
 	if err := p.checkState(x); err != nil {
-		return nil, err
+		return err
 	}
-	full := pieceset.Full(p.K)
-	var out []Transition
+	if err := p.checkState(next); err != nil {
+		return err
+	}
+	copy(next, x)
 
 	// Exogenous arrivals: x → x + e_C at rate λ_C, in ascending type order
 	// so downstream float folds (the exact solver's row sums) are
 	// independent of map iteration order.
-	for _, c := range p.ArrivalTypes() {
-		next := x.Clone()
+	for _, c := range g.arrivals {
 		next[int(c)]++
-		out = append(out, Transition{Rate: p.Lambda[c], Next: next, Kind: KindArrival, Type: c})
+		visit(Transition{Rate: p.Lambda[c], Next: next, Kind: KindArrival, Type: c})
+		next[int(c)]--
 	}
 
 	// Peer-seed departures: x → x − e_F at rate γ·x_F (γ < ∞ only).
+	full := g.full
 	if !p.GammaInf() {
 		if xf := x.Count(full); xf > 0 {
-			next := x.Clone()
 			next[int(full)]--
-			out = append(out, Transition{
+			visit(Transition{
 				Rate: p.Gamma * float64(xf), Next: next,
 				Kind: KindSeedDeparture, Type: full,
 			})
+			next[int(full)]++
 		}
 	}
 
 	// Uploads: x → x − e_C + e_{C∪{i}} at rate Γ_{C,C∪{i}}; when γ = ∞ and
 	// C∪{i} = F the completing peer departs instead.
+	n := x.N()
 	for cIdx, xc := range x {
-		if xc == 0 {
-			continue
-		}
 		c := pieceset.Set(cIdx)
-		if c == full {
+		if xc == 0 || c == full {
 			continue
 		}
-		c.Complement(p.K).ForEach(func(i int) {
-			rate := p.UploadRate(x, c, i)
+		for i := 1; i <= p.K; i++ {
+			if c.Has(i) {
+				continue
+			}
+			rate := p.uploadRate(x, c, i, xc, n)
 			if rate <= 0 {
-				return
+				continue
 			}
 			target := c.With(i)
-			next := x.Clone()
-			next[cIdx]--
-			kind := KindUpload
 			if target == full && p.GammaInf() {
-				kind = KindFinishDeparture
-			} else {
-				next[int(target)]++
+				next[cIdx]--
+				visit(Transition{Rate: rate, Next: next, Kind: KindFinishDeparture, Type: c, Piece: i})
+				next[cIdx]++
+				continue
 			}
-			out = append(out, Transition{
-				Rate: rate, Next: next, Kind: kind, Type: c, Piece: i,
-			})
-		})
+			next[cIdx]--
+			next[int(target)]++
+			visit(Transition{Rate: rate, Next: next, Kind: KindUpload, Type: c, Piece: i})
+			next[int(target)]--
+			next[cIdx]++
+		}
+	}
+	return nil
+}
+
+// Transitions returns every positive-rate transition out of state x, in
+// Walk's order. The caller owns the returned states.
+func (p Params) Transitions(x State) ([]Transition, error) {
+	var out []Transition
+	if err := p.Generator().Walk(x, make(State, len(x)), func(t Transition) {
+		t.Next = t.Next.Clone()
+		out = append(out, t)
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,11 +2,13 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/pieceset"
+	"repro/internal/racegate"
 )
 
 func validParams() Params {
@@ -309,6 +311,55 @@ func TestDriftOfN(t *testing.T) {
 	want := p.LambdaTotal() - p.Gamma*3
 	if math.Abs(drift-want) > 1e-12 {
 		t.Errorf("drift = %v, want %v", drift, want)
+	}
+}
+
+// TestWalkScratch: Walk visits Transitions' sequence with each next state
+// in the caller's scratch, leaves the scratch equal to x, rejects a
+// mismatched scratch, and allocates nothing.
+func TestWalkScratch(t *testing.T) {
+	p := Params{K: 3, Us: 1, Mu: 1.5, Gamma: 2, Lambda: map[pieceset.Set]float64{
+		pieceset.Empty: 1, pieceset.MustOf(2): 0.5,
+	}}
+	x := NewState(3)
+	for i := range x {
+		x[i] = i % 3
+	}
+	want, err := p.Transitions(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, next := p.Generator(), NewState(3)
+	var k int
+	if err := gen.Walk(x, next, func(tr Transition) {
+		if &tr.Next[0] != &next[0] {
+			t.Fatal("Next is not the scratch state")
+		}
+		if k >= len(want) || tr.Rate != want[k].Rate || tr.Kind != want[k].Kind ||
+			fmt.Sprint(tr.Next) != fmt.Sprint(want[k].Next) {
+			t.Fatalf("transition %d = %+v, Transitions has %+v", k, tr, want[k])
+		}
+		k++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if k != len(want) {
+		t.Errorf("Walk visited %d transitions, Transitions returned %d", k, len(want))
+	}
+	if fmt.Sprint(next) != fmt.Sprint(x) {
+		t.Errorf("scratch = %v after Walk, want %v", next, x)
+	}
+	if err := gen.Walk(x, NewState(2), func(Transition) {}); !errors.Is(err, ErrStateMismatch) {
+		t.Errorf("short scratch: err = %v, want ErrStateMismatch", err)
+	}
+	if racegate.Enabled {
+		return // race instrumentation allocates
+	}
+	var total float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = gen.Walk(x, next, func(tr Transition) { total += tr.Rate })
+	}); allocs != 0 {
+		t.Errorf("Walk: %v allocs/run, want 0", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestEmpiricalRatesMatchGenerator(t *testing.T) {
 	wantProb := make(map[string]float64)
 	for _, tr := range transitions {
 		totalRate += tr.Rate
-		wantProb[tr.Next.Key()] += tr.Rate
+		wantProb[fmt.Sprint(tr.Next)] += tr.Rate
 	}
 	for k := range wantProb {
 		wantProb[k] /= totalRate
@@ -52,7 +53,7 @@ func TestEmpiricalRatesMatchGenerator(t *testing.T) {
 	const trials = 60000
 	gotCount := make(map[string]int)
 	var holdSum float64
-	startKey := x.Key()
+	startKey := fmt.Sprint(x)
 	for i := 0; i < trials; i++ {
 		s, err := New(p, WithSeed(uint64(i)+12345), WithInitialPeers(initial))
 		if err != nil {
@@ -66,8 +67,8 @@ func TestEmpiricalRatesMatchGenerator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap.Key() != startKey {
-				gotCount[snap.Key()]++
+			if key := fmt.Sprint(snap); key != startKey {
+				gotCount[key]++
 				holdSum += s.Now()
 				break
 			}
@@ -120,7 +121,7 @@ func TestEmpiricalRatesGammaInf(t *testing.T) {
 	wantProb := make(map[string]float64)
 	for _, tr := range transitions {
 		totalRate += tr.Rate
-		wantProb[tr.Next.Key()] += tr.Rate
+		wantProb[fmt.Sprint(tr.Next)] += tr.Rate
 	}
 	for k := range wantProb {
 		wantProb[k] /= totalRate
@@ -128,7 +129,7 @@ func TestEmpiricalRatesGammaInf(t *testing.T) {
 
 	const trials = 40000
 	gotCount := make(map[string]int)
-	startKey := x.Key()
+	startKey := fmt.Sprint(x)
 	for i := 0; i < trials; i++ {
 		s, err := New(p, WithSeed(uint64(i)+777), WithInitialPeers(initial))
 		if err != nil {
@@ -142,8 +143,8 @@ func TestEmpiricalRatesGammaInf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if snap.Key() != startKey {
-				gotCount[snap.Key()]++
+			if key := fmt.Sprint(snap); key != startKey {
+				gotCount[key]++
 				break
 			}
 		}
