@@ -69,6 +69,21 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunBadHorizon: a horizon that is not positive and finite is a usage
+// error, not a panic in the trajectory observer or an all-zero run.
+func TestRunBadHorizon(t *testing.T) {
+	for _, h := range []string{"0", "-5", "NaN", "Inf"} {
+		var b strings.Builder
+		err := run([]string{"-horizon", h}, &b)
+		if err == nil || !strings.Contains(err.Error(), "-horizon") {
+			t.Errorf("-horizon %s: err = %v, want a -horizon usage error", h, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-horizon %s printed output:\n%s", h, b.String())
+		}
+	}
+}
+
 // TestRunReplicatedDeterministicAcrossWorkers pins the CLI's byte-identity
 // contract: same flags, different -parallel, identical output.
 func TestRunReplicatedDeterministicAcrossWorkers(t *testing.T) {

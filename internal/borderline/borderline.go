@@ -203,17 +203,12 @@ func (c *Chain) RunTransitions(steps int) {
 	}
 }
 
-// EmpiricalMeanZ estimates E[Z] — the number of departures caused by one
+// SampleMeanZ estimates E[Z] — the number of departures caused by one
 // missing-piece arrival into an effectively infinite club — by direct
-// sampling of the coin race. The paper's null-recurrence argument rests on
-// E[Z] = K−1 exactly.
-func EmpiricalMeanZ(k int, trials int, seed uint64) (float64, error) {
-	return SampleMeanZ(k, trials, rng.New(seed))
-}
-
-// SampleMeanZ is EmpiricalMeanZ driven by a caller-supplied generator, so
-// the parallel engine can spread the trials across independent replica
-// streams and average the per-stream means.
+// sampling of the coin race on a caller-supplied generator, so the parallel
+// engine can spread the trials across independent replica streams and
+// average the per-stream means. The paper's null-recurrence argument rests
+// on E[Z] = K−1 exactly.
 func SampleMeanZ(k int, trials int, r *rng.RNG) (float64, error) {
 	if k < 2 || trials <= 0 {
 		return 0, ErrBadParams
@@ -231,52 +226,4 @@ func SampleMeanZ(k int, trials int, r *rng.RNG) (float64, error) {
 		sum += float64(heads)
 	}
 	return sum / float64(trials), nil
-}
-
-// ReturnTimeSummary measures excursions of the top-layer walk: starting
-// from (startN, K−1), the number of transitions until N ≤ startN/2, capped
-// at maxSteps per excursion. Null-recurrent walks show heavy-tailed
-// excursions — many hit the cap — whereas a positive-recurrent system's
-// excursions would be short.
-type ReturnTimeSummary struct {
-	Excursions int
-	Capped     int     // excursions that hit maxSteps without returning
-	MeanSteps  float64 // over the non-capped excursions
-}
-
-// MeasureReturnTimes runs the excursion experiment.
-func MeasureReturnTimes(k int, lambda float64, startN, excursions, maxSteps int, seed uint64) (ReturnTimeSummary, error) {
-	if startN < 2 || excursions <= 0 || maxSteps <= 0 {
-		return ReturnTimeSummary{}, ErrBadParams
-	}
-	var out ReturnTimeSummary
-	var sum float64
-	var counted int
-	for e := 0; e < excursions; e++ {
-		c, err := New(k, lambda, seed+uint64(e)*7919)
-		if err != nil {
-			return ReturnTimeSummary{}, err
-		}
-		if err := c.SetState(startN, k-1); err != nil {
-			return ReturnTimeSummary{}, err
-		}
-		out.Excursions++
-		returned := false
-		for step := 1; step <= maxSteps; step++ {
-			c.Step()
-			if n, _ := c.State(); n <= startN/2 {
-				sum += float64(step)
-				counted++
-				returned = true
-				break
-			}
-		}
-		if !returned {
-			out.Capped++
-		}
-	}
-	if counted > 0 {
-		out.MeanSteps = sum / float64(counted)
-	}
-	return out, nil
 }

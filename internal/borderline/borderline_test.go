@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -48,7 +50,7 @@ func TestFirstArrival(t *testing.T) {
 // the zero-drift (null recurrence) argument.
 func TestEmpiricalMeanZ(t *testing.T) {
 	for _, k := range []int{2, 3, 5, 8} {
-		got, err := EmpiricalMeanZ(k, 200000, uint64(k))
+		got, err := SampleMeanZ(k, 200000, rng.New(uint64(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +59,10 @@ func TestEmpiricalMeanZ(t *testing.T) {
 			t.Errorf("K=%d: E[Z] = %v, want %v", k, got, want)
 		}
 	}
-	if _, err := EmpiricalMeanZ(1, 10, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := SampleMeanZ(1, 10, rng.New(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("K=1 accepted")
 	}
-	if _, err := EmpiricalMeanZ(3, 0, 1); !errors.Is(err, ErrBadParams) {
+	if _, err := SampleMeanZ(3, 0, rng.New(1)); !errors.Is(err, ErrBadParams) {
 		t.Error("zero trials accepted")
 	}
 }
@@ -139,26 +141,5 @@ func TestMeanZWithinChain(t *testing.T) {
 	meanZ := float64(st.SumZ) / float64(st.MissingPieceAr)
 	if math.Abs(meanZ-(k-1)) > 0.05 {
 		t.Errorf("in-chain E[Z] = %v, want %d", meanZ, k-1)
-	}
-}
-
-// TestMeasureReturnTimes: null-recurrent excursions from a large state are
-// long — a significant share hits the cap.
-func TestMeasureReturnTimes(t *testing.T) {
-	sum, err := MeasureReturnTimes(3, 1, 1000, 50, 2000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Excursions != 50 {
-		t.Errorf("excursions = %d", sum.Excursions)
-	}
-	// Halving a 1000-peer zero-drift walk needs ≈ (n/2)² ≈ 250k steps of
-	// unit variance; with batch departures variance is larger but most of
-	// 2000-step excursions must still time out.
-	if sum.Capped < 35 {
-		t.Errorf("only %d/50 excursions capped; walk looks mean-reverting", sum.Capped)
-	}
-	if _, err := MeasureReturnTimes(3, 1, 1, 10, 10, 1); !errors.Is(err, ErrBadParams) {
-		t.Error("startN < 2 accepted")
 	}
 }

@@ -97,7 +97,7 @@ func TestBuildParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.LambdaOf(pieceset.Empty) != 1.5 {
+	if p.Lambda[pieceset.Empty] != 1.5 {
 		t.Error("default empty arrivals not applied")
 	}
 	if err := a.Set("1=0.5"); err != nil {
@@ -107,7 +107,7 @@ func TestBuildParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.LambdaOf(pieceset.Empty) != 0 || p.LambdaOf(pieceset.MustOf(1)) != 0.5 {
+	if p.Lambda[pieceset.Empty] != 0 || p.Lambda[pieceset.MustOf(1)] != 0.5 {
 		t.Error("explicit arrivals must replace the default")
 	}
 	if _, err := BuildParams(0, 1, 1, 2, 1, &ArrivalFlags{}); err == nil {

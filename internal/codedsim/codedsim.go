@@ -29,7 +29,6 @@ type config struct {
 	seed           uint64
 	rng            *rng.RNG
 	randomGiftRate float64
-	fullExchange   bool
 	initial        []initialGroup
 }
 
@@ -65,15 +64,6 @@ func WithRNG(r *rng.RNG) Option {
 // q^{−K}) arrives with nothing, exactly as the paper notes.
 func WithRandomGiftRate(rate float64) Option {
 	return func(c *config) { c.randomGiftRate = rate }
-}
-
-// WithFullExchange enables the Remark 16 mode of operation: peers exchange
-// subspace descriptions, so whenever the uploader's subspace is not
-// contained in the receiver's, a useful (innovative) coded piece is always
-// delivered — the effective transfer rate becomes µ̃ = µ instead of
-// (1−1/q)µ.
-func WithFullExchange() Option {
-	return func(c *config) { c.fullExchange = true }
 }
 
 // WithInitialPeers seeds the swarm with count peers holding the given
@@ -129,7 +119,6 @@ type Swarm struct {
 	fullID         int         // permanent id of the full subspace
 	lambdaTotal    float64     // gift + Σ arrival rates, cached off the event path
 	randomGiftRate float64
-	fullExchange   bool
 
 	vbuf    gf.Vec // the coded piece in flight (drawn or combined into)
 	scratch gf.Vec // ContainsBuf elimination workspace
@@ -151,7 +140,6 @@ func New(p stability.CodedParams, opts ...Option) (*Swarm, error) {
 		r:              cfg.generator(),
 		idOf:           make(map[string]int),
 		randomGiftRate: cfg.randomGiftRate,
-		fullExchange:   cfg.fullExchange,
 		vbuf:           make(gf.Vec, p.K),
 		scratch:        make(gf.Vec, p.K),
 	}
@@ -253,6 +241,9 @@ func (s *Swarm) Now() float64 { return s.k.Now() }
 func (s *Swarm) N() int { return s.counts.Total() }
 
 // FullPeers returns the number of peers that can decode (dim = K).
+//
+// Test oracle: checked against the dimension counts and for replay
+// determinism.
 func (s *Swarm) FullPeers() int { return s.nFull }
 
 // Stats returns the event counters.
@@ -271,9 +262,6 @@ func (s *Swarm) ResetOccupancy() { s.k.ResetOccupancy() }
 // DimCounts returns the number of peers holding each subspace dimension,
 // indexed 0..K.
 func (s *Swarm) DimCounts() []int { return s.dimCountsInto(nil) }
-
-// GroupCount returns how many distinct subspace types are occupied.
-func (s *Swarm) GroupCount() int { return s.counts.Occupied() }
 
 // addID inserts one peer into the group with the given id.
 func (s *Swarm) addID(id int) {
@@ -379,23 +367,11 @@ func (s *Swarm) stepArrival() {
 // uniformly random coded piece to a uniform peer.
 func (s *Swarm) stepSeedTick() {
 	targetID := s.pickUniform()
-	target := s.subs[targetID]
-	for tries := 0; ; tries++ {
-		v := s.vbuf
-		for i := range v {
-			v[i] = s.r.Intn(s.params.Field.Order())
-		}
-		if !s.fullExchange || target.IsFull() || tries >= 256 {
-			s.deliver(targetID, v)
-			return
-		}
-		// Remark 16: the informed seed only sends innovative pieces.
-		in, err := target.ContainsBuf(v, s.scratch)
-		if err == nil && !in {
-			s.deliver(targetID, v)
-			return
-		}
+	v := s.vbuf
+	for i := range v {
+		v[i] = s.r.Intn(s.params.Field.Order())
 	}
+	s.deliver(targetID, v)
 }
 
 func (s *Swarm) stepPeerTick() {
@@ -407,39 +383,8 @@ func (s *Swarm) stepPeerTick() {
 		s.stats.NoOps++
 		return
 	}
-	if s.fullExchange {
-		s.deliverInformed(targetID, uploaderID)
-		return
-	}
 	v := s.subs[uploaderID].RandomVectorInto(s.r, s.vbuf)
 	s.deliver(targetID, v)
-}
-
-// deliverInformed implements Remark 16: with subspace descriptions
-// exchanged, any helpful uploader (V_B ⊄ V_A) delivers an innovative piece
-// with certainty. We realize it by rejection-sampling an innovative vector
-// from the uploader's subspace, which exists whenever help is possible.
-func (s *Swarm) deliverInformed(targetID, uploaderID int) {
-	target, uploader := s.subs[targetID], s.subs[uploaderID]
-	sub, err := uploader.SubsetOf(target)
-	if err != nil || sub {
-		s.stats.NoOps++
-		return
-	}
-	for tries := 0; tries < 256; tries++ {
-		v := uploader.RandomVectorInto(s.r, s.vbuf)
-		in, err := target.ContainsBuf(v, s.scratch)
-		if err != nil {
-			s.stats.NoOps++
-			return
-		}
-		if !in {
-			s.deliver(targetID, v)
-			return
-		}
-	}
-	// Probability (1/q)^256 — unreachable in practice.
-	s.stats.NoOps++
 }
 
 // deliver adds coded piece v to the target group's subspace if innovative.

@@ -278,61 +278,3 @@ func TestTracePeerCap(t *testing.T) {
 		t.Errorf("cap did not fire: N = %d after %d points", s.N(), len(pts))
 	}
 }
-
-// TestFullExchangeNeverWastesHelpfulContacts: under Remark 16 operation,
-// every contact where the uploader can help is innovative, so the only
-// no-ops are contacts between unhelpful pairs. Compare waste against the
-// default mode on the same parameters.
-func TestFullExchangeNeverWastesHelpfulContacts(t *testing.T) {
-	p := basicParams(2, 4, 2) // q = 2: default mode wastes up to 1/2
-	base, err := New(p, WithSeed(71))
-	if err != nil {
-		t.Fatal(err)
-	}
-	informed, err := New(p, WithSeed(71), WithFullExchange())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := base.RunUntil(500, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := informed.RunUntil(500, 0); err != nil {
-		t.Fatal(err)
-	}
-	bs, is := base.Stats(), informed.Stats()
-	wasteBase := float64(bs.NoOps) / float64(bs.NoOps+bs.Uploads)
-	wasteInf := float64(is.NoOps) / float64(is.NoOps+is.Uploads)
-	if !(wasteInf < wasteBase) {
-		t.Errorf("informed waste %v not below default %v", wasteInf, wasteBase)
-	}
-	if is.Departures == 0 {
-		t.Error("informed mode produced no decodes")
-	}
-}
-
-// TestFullExchangeInvariants: the informed mode preserves the basic flow
-// and dimension invariants.
-func TestFullExchangeInvariants(t *testing.T) {
-	p := basicParams(2, 3, 1.5)
-	s, err := New(p, WithSeed(73), WithFullExchange())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10000; i++ {
-		if err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-		dims := s.DimCounts()
-		total := 0
-		for _, c := range dims {
-			total += c
-		}
-		if total != s.N() {
-			t.Fatalf("dim counts sum %d ≠ N %d", total, s.N())
-		}
-	}
-	st := s.Stats()
-	if st.Arrivals-st.Departures != uint64(s.N()) {
-		t.Errorf("flow conservation: %d − %d ≠ %d", st.Arrivals, st.Departures, s.N())
-	}
-}

@@ -113,9 +113,6 @@ type RunConfig struct {
 	// and/or churn of not-yet-complete peers — on every replica. The zero
 	// value runs the plain stationary model.
 	Scenario kernel.Scenario
-	// BurnIn discards this much initial time from occupancy averaging
-	// (default Horizon/5).
-	BurnIn float64
 	// Workers bounds the engine worker pool running the replicas
 	// (0 = engine default, the process GOMAXPROCS; 1 = serial).
 	Workers int
@@ -155,9 +152,6 @@ func (c *RunConfig) normalize() error {
 	}
 	if err := c.Scenario.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if c.BurnIn <= 0 || c.BurnIn >= c.Horizon {
-		c.BurnIn = c.Horizon / 5
 	}
 	return nil
 }
@@ -211,20 +205,22 @@ type grower interface {
 }
 
 // measureGrowth runs one replica of the classification protocol on g:
-// burn-in, then the rest of the horizon in eight slices so a cancelled run
-// stops promptly (a stop-watcher in c.Observers ends the replica early,
-// too). The replica grew when it hit the peer cap or ended at least
-// half-way to it; otherwise its post-burn-in occupancy is recorded.
+// burn-in over the first fifth of the horizon, then the rest of the
+// horizon in eight slices so a cancelled run stops promptly (a
+// stop-watcher in c.Observers ends the replica early, too). The replica
+// grew when it hit the peer cap or ended at least half-way to it;
+// otherwise its post-burn-in occupancy is recorded.
 func (c *RunConfig) measureGrowth(ctx context.Context, g grower) (engine.Sample, error) {
-	reason, err := g.RunUntil(c.BurnIn, c.PeerCap)
+	burnIn := c.Horizon / 5
+	reason, err := g.RunUntil(burnIn, c.PeerCap)
 	if err != nil {
 		return nil, err
 	}
 	running := func() bool { return reason != sim.StopPeers && reason != sim.StopObserver }
 	if running() {
 		g.ResetOccupancy()
-		step := (c.Horizon - c.BurnIn) / 8
-		for target := c.BurnIn + step; running() && g.Now() < c.Horizon; target += step {
+		step := (c.Horizon - burnIn) / 8
+		for target := burnIn + step; running() && g.Now() < c.Horizon; target += step {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -282,7 +278,8 @@ func (c *RunConfig) classify(name string, backend engine.Backend) (Empirical, er
 // comparable cell for cell with the exact evaluator; what changes is the
 // cost at large scale. Scenarios and non-default policies are rejected:
 // tau-leaping aggregates the stationary RandomUseful rates of equation (1).
-func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, error) {
+// The regime thresholds are hybrid's defaults.
+func (s *System) ClassifyHybrid(cfg RunConfig) (Empirical, error) {
 	if err := cfg.normalize(); err != nil {
 		return Empirical{}, err
 	}
@@ -295,13 +292,9 @@ func (s *System) ClassifyHybrid(cfg RunConfig, hcfg hybrid.Config) (Empirical, e
 	if cfg.Observers != nil {
 		return Empirical{}, fmt.Errorf("%w: hybrid backend has no kernel tap for observers", ErrBadConfig)
 	}
-	if err := hcfg.Validate(); err != nil {
-		return Empirical{}, err
-	}
 	return cfg.classify("classify-hybrid/"+s.params.String(), &engine.HybridBackend{
 		Label:  "classify-hybrid",
 		Params: s.params,
-		Config: hcfg,
 		Measure: func(ctx context.Context, rep int, h *hybrid.Swarm) (engine.Sample, error) {
 			sample, err := cfg.measureGrowth(ctx, h)
 			if err != nil {

@@ -60,9 +60,9 @@ func TestMeasureGrowthCapDuringBurnIn(t *testing.T) {
 	if _, ok := sample["occupancy"]; ok {
 		t.Errorf("grown replica recorded occupancy: %v", sample)
 	}
-	if f.resets != 0 || len(f.targets) != 1 || f.targets[0] != cfg.BurnIn {
+	if f.resets != 0 || len(f.targets) != 1 || f.targets[0] != cfg.Horizon/5 {
 		t.Errorf("resets = %d, targets = %v; want 0 resets and only the burn-in run to %v",
-			f.resets, f.targets, cfg.BurnIn)
+			f.resets, f.targets, cfg.Horizon/5)
 	}
 }
 

@@ -136,31 +136,6 @@ func (s *Summary) CI95() float64 {
 	return TCritical95(s.n-1) * s.Std() / math.Sqrt(float64(s.n))
 }
 
-// Merge folds another summary into this one (Chan et al. parallel
-// combination). Merging preserves mean/variance exactly up to floating
-// point; the engine merges per-replica summaries in replica order so the
-// result is deterministic for a fixed replica set.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
 // String renders "mean ± ci (n=…)" for table cells.
 func (s *Summary) String() string {
 	if s.n == 0 {

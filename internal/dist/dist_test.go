@@ -67,46 +67,6 @@ func TestSummarySingle(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, -3, 17}
-	var whole, left, right Summary
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 5 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	merged := left
-	merged.Merge(&right)
-	if merged.N() != whole.N() {
-		t.Fatalf("merged N = %d", merged.N())
-	}
-	if !almost(merged.Mean(), whole.Mean(), 1e-12) {
-		t.Errorf("merged mean %v vs %v", merged.Mean(), whole.Mean())
-	}
-	if !almost(merged.Var(), whole.Var(), 1e-9) {
-		t.Errorf("merged var %v vs %v", merged.Var(), whole.Var())
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Error("merged min/max wrong")
-	}
-
-	// Merging into/from empty.
-	var empty Summary
-	m := whole
-	m.Merge(&empty)
-	if m.N() != whole.N() || m.Mean() != whole.Mean() {
-		t.Error("merge of empty changed summary")
-	}
-	var e2 Summary
-	e2.Merge(&whole)
-	if e2.N() != whole.N() || e2.Mean() != whole.Mean() {
-		t.Error("merge into empty lost data")
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	var small, big Summary
 	for i := 0; i < 10; i++ {

@@ -145,8 +145,9 @@ func exactQuantile(sorted []float64, p float64) float64 {
 }
 
 // ExactQuantile returns the p-quantile of the sample (which it sorts in
-// place) by the same convention P2 converges to; it is the small-n exact
-// companion used for cross-checks.
+// place) by the same convention P2 converges to.
+//
+// Test oracle: the exact quantile the P² estimator is checked against.
 func ExactQuantile(sample []float64, p float64) float64 {
 	sort.Float64s(sample)
 	return exactQuantile(sample, p)

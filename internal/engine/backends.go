@@ -114,10 +114,9 @@ type HybridBackend struct {
 	Label string
 	// Params configures the swarm.
 	Params model.Params
-	// Config tunes the regime thresholds (zero value = defaults).
-	Config hybrid.Config
-	// Options are extra swarm options (initial peers, watches are armed in
-	// Measure). The engine appends its own WithRNG last.
+	// Options are extra swarm options (regime thresholds via WithConfig,
+	// initial peers; watches are armed in Measure). The engine appends its
+	// own WithRNG last.
 	Options []hybrid.Option
 	// Measure runs the replica on the fresh swarm and extracts its sample.
 	Measure func(ctx context.Context, rep int, h *hybrid.Swarm) (Sample, error)
@@ -132,7 +131,7 @@ func (b *HybridBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Re
 		return Record{}, ErrNoMeasure
 	}
 	opts := append([]hybrid.Option{}, b.Options...)
-	opts = append(opts, hybrid.WithConfig(b.Config), hybrid.WithRNG(r))
+	opts = append(opts, hybrid.WithRNG(r))
 	h, err := hybrid.New(b.Params, opts...)
 	if err != nil {
 		return Record{}, err
@@ -142,31 +141,6 @@ func (b *HybridBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Re
 		return Record{}, err
 	}
 	return Record{Values: sample}, nil
-}
-
-// RecoveryBackend drives the fast-recovery variant of the type-count
-// simulator (sim.NewRecovery) with speed-up factor Eta.
-type RecoveryBackend struct {
-	Label   string
-	Params  model.Params
-	Eta     float64
-	Options []sim.Option
-	// Scenario, when active, overlays time-varying arrivals and churn.
-	Scenario kernel.Scenario
-	// Observe, when non-nil, builds the replica's observer pipeline (see
-	// SwarmBackend.Observe).
-	Observe func(rep int, sw *sim.RecoverySwarm) *obs.Set
-	Measure func(ctx context.Context, rep int, sw *sim.RecoverySwarm) (Sample, error)
-}
-
-// Name implements Backend.
-func (b *RecoveryBackend) Name() string { return orDefault(b.Label, "recovery") }
-
-// RunReplica implements Backend.
-func (b *RecoveryBackend) RunReplica(ctx context.Context, rep int, r *rng.RNG) (Record, error) {
-	return runSim(ctx, rep, func() (*sim.RecoverySwarm, error) {
-		return sim.NewRecovery(b.Params, b.Eta, simOptions(b.Options, b.Scenario, r)...)
-	}, b.Observe, b.Measure)
 }
 
 // CodedBackend drives the network-coding simulator (internal/codedsim).

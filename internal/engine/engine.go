@@ -1,8 +1,8 @@
 // Package engine is the parallel Monte-Carlo substrate shared by every
 // replicated experiment in the repository. A Job names a Backend (an
-// adapter over one of the simulators: the type-count swarm and its
-// fast-recovery variant, the coded swarm, the peer-granular swarm, the
-// µ=∞ borderline chain, or the adaptive hybrid) and a replica count. One
+// adapter over one of the simulators: the type-count swarm, the coded
+// swarm, the peer-granular swarm, the µ=∞ borderline chain, or the
+// adaptive hybrid; Func wraps anything else) and a replica count. One
 // per-replica body runs every replica; a serial loop drives it for one
 // worker and a feeder with worker goroutines for more. Results stay
 // bit-for-bit deterministic:
@@ -194,69 +194,6 @@ func (res *Result) aggregate() {
 
 // Keys returns the metric names seen across all replicas, sorted.
 func (res *Result) Keys() []string { return res.keys }
-
-// SeriesKeys returns the series names seen across all replicas, sorted.
-func (res *Result) SeriesKeys() []string {
-	seen := map[string]bool{}
-	var keys []string
-	for _, rec := range res.Records {
-		for k := range rec.Series {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// MeanSeries merges one named series across replicas, in replica order:
-// the first replica reporting it defines the time ladder, and every later
-// replica with the identical ladder is averaged in pointwise (Welford).
-// Replicas whose ladders differ — decimation doubled at a different point
-// because the replica ended early — are skipped; merged reports how many
-// replicas contributed. All replicas of a fixed-horizon job share one
-// ladder, so merged == Replicas is the common case.
-func (res *Result) MeanSeries(name string) (pts []obs.Point, merged int) {
-	var sums []dist.Summary
-	for _, rec := range res.Records {
-		s, ok := rec.Series[name]
-		if !ok {
-			continue
-		}
-		if pts == nil {
-			pts = make([]obs.Point, len(s))
-			sums = make([]dist.Summary, len(s))
-			for i, p := range s {
-				pts[i].T = p.T
-			}
-		} else if !sameLadder(pts, s) {
-			continue
-		}
-		for i, p := range s {
-			sums[i].Add(p.V)
-		}
-		merged++
-	}
-	for i := range pts {
-		pts[i].V = sums[i].Mean()
-	}
-	return pts, merged
-}
-
-// sameLadder reports whether a series shares the reference time ladder.
-func sameLadder(ref []obs.Point, s []obs.Point) bool {
-	if len(ref) != len(s) {
-		return false
-	}
-	for i := range ref {
-		if ref[i].T != s[i].T {
-			return false
-		}
-	}
-	return true
-}
 
 // Summary returns the aggregate for one metric (an empty summary when no
 // replica reported it).

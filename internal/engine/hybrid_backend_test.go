@@ -26,8 +26,8 @@ func TestHybridBackendDeterministicAcrossWorkers(t *testing.T) {
 		res, err := Run(context.Background(), Job{
 			Name: "hybrid-determinism",
 			Backend: &HybridBackend{
-				Params: p,
-				Config: hybrid.Config{FluidEnter: 256, FluidExit: 128},
+				Params:  p,
+				Options: []hybrid.Option{hybrid.WithConfig(hybrid.Config{FluidEnter: 256, FluidExit: 128})},
 				Measure: func(ctx context.Context, rep int, h *hybrid.Swarm) (Sample, error) {
 					if _, err := h.RunUntil(5, 0); err != nil {
 						return nil, err

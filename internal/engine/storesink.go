@@ -80,16 +80,6 @@ type StoreSink struct {
 	row []store.Value
 }
 
-// NewStoreSink starts a record store on w. The caller keeps ownership of
-// w; Close writes the store footer but does not close w.
-func NewStoreSink(w io.Writer) (*StoreSink, error) {
-	sw, err := store.NewWriter(w, RecordStoreSchema(), store.WriterOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("engine: store sink: %w", err)
-	}
-	return &StoreSink{w: sw, row: make([]store.Value, 8)}, nil
-}
-
 // CreateStoreSink starts a record store file at path; Close closes it.
 func CreateStoreSink(path string) (*StoreSink, error) {
 	sw, err := store.Create(path, RecordStoreSchema(), store.WriterOptions{})

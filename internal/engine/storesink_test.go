@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,11 +64,13 @@ func randomRecords(r *rng.RNG, n int) ([]ReplicaRecord, AggregateRecord) {
 // byte-identically with the direct JSONL stream.
 func TestStoreSinkRoundTripsJSONL(t *testing.T) {
 	r := rng.New(123)
+	dir := t.TempDir()
 	for trial := 0; trial < 25; trial++ {
 		recs, agg := randomRecords(r, 1+r.Intn(12))
-		var jsonl, storeBuf bytes.Buffer
+		var jsonl bytes.Buffer
 		js := NewJSONLSink(&jsonl)
-		ss, err := NewStoreSink(&storeBuf)
+		path := filepath.Join(dir, fmt.Sprintf("trial%d.store", trial))
+		ss, err := CreateStoreSink(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,12 +92,14 @@ func TestStoreSinkRoundTripsJSONL(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		sr, err := store.NewReader(bytes.NewReader(storeBuf.Bytes()), int64(storeBuf.Len()))
+		sr, err := store.Open(path)
 		if err != nil {
 			t.Fatalf("trial %d: reopen store: %v", trial, err)
 		}
 		var back bytes.Buffer
-		if err := StoreToJSONL(&back, sr); err != nil {
+		err = StoreToJSONL(&back, sr)
+		sr.Close()
+		if err != nil {
 			t.Fatalf("trial %d: StoreToJSONL: %v", trial, err)
 		}
 		if !bytes.Equal(back.Bytes(), jsonl.Bytes()) {
@@ -106,9 +112,10 @@ func TestStoreSinkRoundTripsJSONL(t *testing.T) {
 // TestStoreSinkDeterministicAcrossWorkers extends the JSONL determinism
 // contract to the store: one job, any worker count, identical file bytes.
 func TestStoreSinkDeterministicAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
 	render := func(workers int) []byte {
-		var buf bytes.Buffer
-		ss, err := NewStoreSink(&buf)
+		path := filepath.Join(dir, fmt.Sprintf("w%d.store", workers))
+		ss, err := CreateStoreSink(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +135,11 @@ func TestStoreSinkDeterministicAcrossWorkers(t *testing.T) {
 		if err := ss.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 	base := render(1)
 	for _, w := range []int{2, 8} {
@@ -144,8 +155,8 @@ func TestStoreSinkDeterministicAcrossWorkers(t *testing.T) {
 // rows exactly (bit-equal means and spreads), because both fold the same
 // values in the same replica-then-sorted-key order.
 func TestStoreAggMatchesWelford(t *testing.T) {
-	var buf bytes.Buffer
-	ss, err := NewStoreSink(&buf)
+	path := filepath.Join(t.TempDir(), "agg.store")
+	ss, err := CreateStoreSink(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +176,11 @@ func TestStoreAggMatchesWelford(t *testing.T) {
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := store.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	sr, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sr.Close()
 	fieldCol, nameCol, vCol := sr.Schema().Col("field"), sr.Schema().Col("name"), sr.Schema().Col("v")
 
 	// Re-aggregate the replica rows in row order — the same order the
@@ -248,7 +260,7 @@ func TestStoreToJSONLRejectsForeignStore(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := store.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	sr, err := store.NewReaderOptions(bytes.NewReader(buf.Bytes()), int64(buf.Len()), store.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func RunE18(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hyb, err := sys.ClassifyHybrid(cfg.runConfig(occHorizon, occCap, occReps), hybrid.Config{})
+	hyb, err := sys.ClassifyHybrid(cfg.runConfig(occHorizon, occCap, occReps))
 	if err != nil {
 		return nil, err
 	}

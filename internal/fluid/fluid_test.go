@@ -178,17 +178,16 @@ func TestGammaInfCompletionsLeave(t *testing.T) {
 	}
 }
 
-func TestEquilibriumStable(t *testing.T) {
-	p := params(0.5, 1, 1, 2, 2)
-	s, err := New(p)
+// settled integrates from x0 for maxTime at step dt and returns the final
+// point with the L1 norm of the vector field there.
+func settled(t *testing.T, s *System, x0 []float64, dt, maxTime float64) (Point, float64) {
+	t.Helper()
+	pts, err := s.Integrate(x0, dt, int(maxTime/dt), int(maxTime/dt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := s.Equilibrium(make([]float64, 4), 0.01, 1e-6, 2000)
-	if err != nil {
-		t.Fatalf("stable system did not settle: %v", err)
-	}
-	f, err := s.Field(x)
+	last := pts[len(pts)-1]
+	f, err := s.Field(last.X)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,15 +195,21 @@ func TestEquilibriumStable(t *testing.T) {
 	for _, v := range f {
 		norm += math.Abs(v)
 	}
-	if norm > 1e-6 {
-		t.Errorf("field norm at equilibrium = %v", norm)
-	}
-	n, err := s.EquilibriumN(make([]float64, 4), 0.01, 1e-6, 2000)
+	return last, norm
+}
+
+func TestEquilibriumStable(t *testing.T) {
+	p := params(0.5, 1, 1, 2, 2)
+	s, err := New(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n <= 0 || n > 20 {
-		t.Errorf("equilibrium population = %v", n)
+	end, norm := settled(t, s, make([]float64, 4), 0.01, 2000)
+	if norm > 1e-6 {
+		t.Errorf("stable system did not settle: field norm = %v", norm)
+	}
+	if end.N <= 0 || end.N > 20 {
+		t.Errorf("equilibrium population = %v", end.N)
 	}
 }
 
@@ -219,8 +224,9 @@ func TestEquilibriumTransientFromOneClub(t *testing.T) {
 	}
 	x0 := make([]float64, 4)
 	x0[int(pieceset.Full(2).Without(1))] = 500
-	if _, err := s.Equilibrium(x0, 0.02, 1e-6, 100); !errors.Is(err, ErrNoEquilibrium) {
-		t.Errorf("one-club fluid settled: err = %v", err)
+	end, norm := settled(t, s, x0, 0.02, 100)
+	if norm < 1e-6 || end.N <= 500 {
+		t.Errorf("one-club fluid settled: N = %v, field norm = %v", end.N, norm)
 	}
 }
 
@@ -235,21 +241,11 @@ func TestQuasiEquilibriumFromEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.EquilibriumN(make([]float64, 4), 0.02, 1e-6, 500)
-	if err != nil {
-		t.Fatalf("balanced fluid did not settle: %v", err)
+	end, norm := settled(t, s, make([]float64, 4), 0.02, 500)
+	if norm > 1e-6 {
+		t.Fatalf("balanced fluid did not settle: field norm = %v", norm)
 	}
-	if n <= 0 || n > 100 {
-		t.Errorf("quasi-equilibrium population = %v", n)
-	}
-}
-
-func TestEquilibriumArgValidation(t *testing.T) {
-	s, _ := New(params(1, 1, 1, 2, 2))
-	if _, err := s.Equilibrium(make([]float64, 4), 0, 1e-6, 10); !errors.Is(err, ErrBadStep) {
-		t.Error("zero dt accepted")
-	}
-	if _, err := s.Equilibrium(make([]float64, 3), 0.01, 1e-6, 10); !errors.Is(err, ErrBadState) {
-		t.Error("bad state accepted")
+	if end.N <= 0 || end.N > 100 {
+		t.Errorf("quasi-equilibrium population = %v", end.N)
 	}
 }

@@ -286,12 +286,6 @@ func (f *Field) elementOrder(g int, mulTab []int) int {
 // Order returns q, the number of field elements.
 func (f *Field) Order() int { return f.q }
 
-// Char returns the characteristic p.
-func (f *Field) Char() int { return f.p }
-
-// Degree returns the extension degree m (q = p^m).
-func (f *Field) Degree() int { return f.m }
-
 // valid reports whether a is a representable element.
 func (f *Field) valid(a int) bool { return a >= 0 && a < f.q }
 
@@ -348,15 +342,6 @@ func (f *Field) Inv(a int) (int, error) {
 		return 0, ErrDivByZero
 	}
 	return f.invTab[a], nil
-}
-
-// Div returns a / b, or ErrDivByZero when b = 0.
-func (f *Field) Div(a, b int) (int, error) {
-	bi, err := f.Inv(b)
-	if err != nil {
-		return 0, err
-	}
-	return f.Mul(a, bi), nil
 }
 
 // Pow returns a^e for e ≥ 0 (0^0 = 1).

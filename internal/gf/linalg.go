@@ -2,9 +2,6 @@ package gf
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -30,18 +27,6 @@ func (v Vec) Clone() Vec {
 	out := make(Vec, len(v))
 	copy(out, v)
 	return out
-}
-
-// AddVec returns u + v over f.
-func (f *Field) AddVec(u, v Vec) (Vec, error) {
-	if len(u) != len(v) {
-		return nil, ErrDimMismatch
-	}
-	out := make(Vec, len(u))
-	for i := range u {
-		out[i] = f.Add(u[i], v[i])
-	}
-	return out, nil
 }
 
 // ScaleVec returns c·v over f.
@@ -163,21 +148,9 @@ func (s *Subspace) Dim() int { return s.dim }
 // Ambient returns k, the dimension of the ambient space F_q^k.
 func (s *Subspace) Ambient() int { return s.k }
 
-// Field returns the underlying field.
-func (s *Subspace) Field() *Field { return s.field }
-
 // IsFull reports whether the subspace is all of F_q^k; a peer of full type
 // can decode the file.
 func (s *Subspace) IsFull() bool { return s.dim == s.k }
-
-// Basis returns a copy of the canonical RREF basis rows.
-func (s *Subspace) Basis() []Vec {
-	out := make([]Vec, len(s.basis))
-	for i, r := range s.basis {
-		out[i] = r.Clone()
-	}
-	return out
-}
 
 // Key returns a canonical string key identifying the subspace, suitable for
 // map keys. Equal subspaces yield equal keys and vice versa.
@@ -314,16 +287,6 @@ func (s *Subspace) Sum(t *Subspace) (*Subspace, error) {
 	return out, nil
 }
 
-// IntersectionDim returns dim(s ∩ t) via the modular law
-// dim(s∩t) = dim s + dim t − dim(s+t).
-func (s *Subspace) IntersectionDim(t *Subspace) (int, error) {
-	sum, err := s.Sum(t)
-	if err != nil {
-		return 0, err
-	}
-	return s.dim + t.dim - sum.Dim(), nil
-}
-
 // randSource is the minimal random interface the package needs; the rng
 // package satisfies it.
 type randSource interface {
@@ -333,6 +296,9 @@ type randSource interface {
 // RandomVector returns a uniformly random vector of s: a random linear
 // combination of the basis with independent uniform coefficients. This is
 // exactly what a coded peer transmits when contacted.
+//
+// Test oracle: the allocating reference that RandomVectorInto must match
+// draw for draw.
 func (s *Subspace) RandomVector(r randSource) Vec {
 	return s.RandomVectorInto(r, make(Vec, s.k))
 }
@@ -358,25 +324,6 @@ func (s *Subspace) RandomVectorInto(r randSource, dst Vec) Vec {
 		}
 	}
 	return dst
-}
-
-// UsefulProbability returns the probability that a uniformly random vector
-// of uploader subspace b is useful to (not already spanned by) receiver
-// subspace a: 1 − q^{dim(a∩b) − dim(b)}, equation from Section VIII-B.
-func UsefulProbability(a, b *Subspace) (float64, error) {
-	if b.Dim() == 0 {
-		return 0, nil
-	}
-	interDim, err := a.IntersectionDim(b)
-	if err != nil {
-		return 0, err
-	}
-	q := float64(a.field.Order())
-	p := 1.0
-	for i := 0; i < b.Dim()-interDim; i++ {
-		p /= q
-	}
-	return 1 - p, nil
 }
 
 // pivotCol returns the index of the first nonzero entry of an RREF row, or
@@ -470,104 +417,4 @@ func kernelOf(f *Field, phi Vec) (*Subspace, error) {
 		}
 	}
 	return s, nil
-}
-
-// AllSubspaces enumerates every subspace of F_q^k, the full type space V of
-// the coded system. The count is the sum of Gaussian binomial coefficients,
-// which explodes quickly — callers must keep q and k small (the guard
-// rejects anything beyond a few thousand subspaces).
-func AllSubspaces(f *Field, k int) ([]*Subspace, error) {
-	if k < 0 {
-		return nil, errors.New("gf: negative dimension")
-	}
-	total := SubspaceCount(f.Order(), k)
-	const maxEnum = 1 << 14
-	if total < 0 || total > maxEnum {
-		return nil, fmt.Errorf("gf: %d subspaces exceed the enumeration limit %d", total, maxEnum)
-	}
-	seen := map[string]*Subspace{}
-	zero := ZeroSubspace(f, k)
-	seen[zero.Key()] = zero
-	frontier := []*Subspace{zero}
-	// Breadth-first closure under adding one vector; every subspace is
-	// reachable from {0} by adding basis vectors one at a time.
-	for len(frontier) > 0 {
-		var next []*Subspace
-		for _, s := range frontier {
-			if s.Dim() == k {
-				continue
-			}
-			v := make(Vec, k)
-			var rec func(pos int) error
-			rec = func(pos int) error {
-				if pos == k {
-					ext, err := s.Add(v)
-					if err != nil {
-						return err
-					}
-					if _, ok := seen[ext.Key()]; !ok {
-						seen[ext.Key()] = ext
-						next = append(next, ext)
-					}
-					return nil
-				}
-				for c := 0; c < f.Order(); c++ {
-					v[pos] = c
-					if err := rec(pos + 1); err != nil {
-						return err
-					}
-				}
-				v[pos] = 0
-				return nil
-			}
-			if err := rec(0); err != nil {
-				return nil, err
-			}
-		}
-		frontier = next
-	}
-	out := make([]*Subspace, 0, len(seen))
-	for _, s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dim() != out[j].Dim() {
-			return out[i].Dim() < out[j].Dim()
-		}
-		return out[i].Key() < out[j].Key()
-	})
-	return out, nil
-}
-
-// GaussianBinomial returns the q-binomial coefficient [k choose d]_q: the
-// number of d-dimensional subspaces of F_q^k. It returns -1 on overflow.
-func GaussianBinomial(q, k, d int) int {
-	if d < 0 || d > k {
-		return 0
-	}
-	// Product formula: Π_{i=0}^{d-1} (q^{k-i} − 1)/(q^{i+1} − 1).
-	num, den := 1.0, 1.0
-	for i := 0; i < d; i++ {
-		num *= math.Pow(float64(q), float64(k-i)) - 1
-		den *= math.Pow(float64(q), float64(i+1)) - 1
-	}
-	v := num / den
-	if math.IsNaN(v) || math.IsInf(v, 0) || v > float64(math.MaxInt32) {
-		return -1
-	}
-	return int(math.Round(v))
-}
-
-// SubspaceCount returns the total number of subspaces of F_q^k (all
-// dimensions), or -1 on overflow.
-func SubspaceCount(q, k int) int {
-	total := 0
-	for d := 0; d <= k; d++ {
-		g := GaussianBinomial(q, k, d)
-		if g < 0 {
-			return -1
-		}
-		total += g
-	}
-	return total
 }

@@ -232,6 +232,9 @@ func WithRNG(r *rng.RNG) Option {
 }
 
 // WithConfig sets the regime thresholds (zero fields keep their defaults).
+//
+// Test oracle: Config{NoLeap: true} is the exact-kernel reference the
+// agreement tests compare the leaping regimes against.
 func WithConfig(cfg Config) Option {
 	return func(c *config) { c.cfg = cfg }
 }
@@ -363,6 +366,9 @@ func (h *Swarm) Now() float64 { return h.now }
 func (h *Swarm) N() int { return int(h.n) }
 
 // CountOf returns the number of type-c peers.
+//
+// Test oracle: the per-type counts compared with the exact simulator's in
+// the no-leap mode.
 func (h *Swarm) CountOf(c pieceset.Set) int { return int(h.x[int(c)]) }
 
 // PeerSeeds returns x_F, the number of peers holding the full collection.
@@ -396,17 +402,6 @@ func (h *Swarm) MeanPeers() float64 { return h.occ.Value() }
 func (h *Swarm) ResetOccupancy() {
 	h.occ = dist.TimeAverage{}
 	h.occ.Observe(h.now, float64(h.n))
-}
-
-// SparseCounts returns a copy of the occupied type counts.
-func (h *Swarm) SparseCounts() map[pieceset.Set]int {
-	out := make(map[pieceset.Set]int)
-	for idx, v := range h.x {
-		if v != 0 {
-			out[pieceset.Set(idx)] = int(v)
-		}
-	}
-	return out
 }
 
 // trackedMin returns the smallest tracked coordinate: a type is tracked

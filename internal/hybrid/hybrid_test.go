@@ -80,7 +80,7 @@ func TestExactReferenceMatchesSim(t *testing.T) {
 	if got, want := h.Stats().Events, sw.Stats().Events; got != want {
 		t.Fatalf("events %d != %d", got, want)
 	}
-	for c, v := range sw.SparseCounts() {
+	for c, v := range sw.SparseCountsInto(map[pieceset.Set]int{}) {
 		if h.CountOf(c) != v {
 			t.Fatalf("count of %v: %d != %d", c, h.CountOf(c), v)
 		}

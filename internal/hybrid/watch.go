@@ -15,12 +15,12 @@ type watch struct {
 // experiments arm one watch per replica; watches consume no randomness, so
 // arming one never changes the realization a seed produces (the trajectory
 // is merely truncated).
+//
+// Test oracle: the one-club hitting times TestHittingTimeAgreement compares
+// between the hybrid and the exact kernel.
 func (h *Swarm) WatchOneClub(piece, target int) {
 	h.watches = append(h.watches, watch{piece: piece, target: target})
 }
-
-// ClearWatches disarms all watches.
-func (h *Swarm) ClearWatches() { h.watches = h.watches[:0] }
 
 // watchFired reports whether any armed watch holds at the dense state.
 func (h *Swarm) watchFired() bool {

@@ -3,8 +3,7 @@ package kernel
 // Micro-benchmarks for the kernel's weighted samplers: the O(n) linear
 // scan the simulators used before (seed baseline) against the O(log n)
 // Fenwick-backed Counts sampler, across occupied-slot counts from 1e2 to
-// 1e6. CI runs these in short -benchtime mode and uploads the JSON output
-// as the BENCH_kernel artifact; EXPERIMENTS.md records a summary.
+// 1e6. EXPERIMENTS.md records a summary.
 
 import (
 	"fmt"

@@ -98,9 +98,6 @@ func (t *WeightTree) Len() int { return len(t.vals) }
 // Total returns the sum of all weights.
 func (t *WeightTree) Total() float64 { return t.total }
 
-// Get returns the weight at slot i.
-func (t *WeightTree) Get(i int) float64 { return t.vals[i] }
-
 // Grow ensures the tree has at least n slots, appending each new slot in
 // O(log n) exactly as CountTree.Grow does.
 func (t *WeightTree) Grow(n int) {

@@ -180,8 +180,8 @@ func TestCountsEachAndAccessors(t *testing.T) {
 	c.Add(10, 4)
 	c.Add(20, 5)
 	c.Add(10, -4)
-	if c.Total() != 5 || c.Occupied() != 1 || c.Count(10) != 0 || c.Count(20) != 5 {
-		t.Fatalf("accessors wrong: total=%d occupied=%d", c.Total(), c.Occupied())
+	if c.Total() != 5 || len(c.slot) != 1 || c.Count(10) != 0 || c.Count(20) != 5 {
+		t.Fatalf("accessors wrong: total=%d occupied=%d", c.Total(), len(c.slot))
 	}
 	seen := map[int]int{}
 	c.Each(func(k, n int) { seen[k] = n })
@@ -239,7 +239,7 @@ func TestWeightedSampler(t *testing.T) {
 		t.Errorf("P(fast) = %v, want 0.75", got)
 	}
 	w.Set("fast", 0)
-	if w.Weight("fast") != 0 || math.Abs(w.Total()-10) > 1e-12 {
+	if _, held := w.slot["fast"]; held || math.Abs(w.Total()-10) > 1e-12 {
 		t.Fatalf("release failed: total %v", w.Total())
 	}
 	w.Set("slow", 0)

@@ -107,8 +107,7 @@ func overheadCI(newOn, newOff func() func() error) (lo, med, hi float64) {
 // slowdown of at least 5% and the gate must reject. Both sides of a pair
 // step identically seeded kernels, so they time the same events.
 // Skipped in -short mode and under the race detector;
-// BenchmarkKernelStep* in internal/obs record the nil-tap pair in CI's
-// BENCH_obs.json artifact.
+// BenchmarkKernelStep* in internal/obs measure the nil-tap pair.
 func TestInstrumentationOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")

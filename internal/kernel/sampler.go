@@ -18,9 +18,6 @@ type Counts[K comparable] struct {
 // Total returns the number of elements (with multiplicity).
 func (c *Counts[K]) Total() int { return int(c.tree.Total()) }
 
-// Occupied returns the number of distinct keys with positive count.
-func (c *Counts[K]) Occupied() int { return len(c.slot) }
-
 // Count returns the multiplicity of k.
 func (c *Counts[K]) Count(k K) int {
 	s, ok := c.slot[k]
@@ -143,15 +140,6 @@ type Weighted[K comparable] struct {
 
 // Total returns the sum of all weights.
 func (w *Weighted[K]) Total() float64 { return w.tree.Total() }
-
-// Weight returns the weight of k (0 when absent).
-func (w *Weighted[K]) Weight(k K) float64 {
-	s, ok := w.slot[k]
-	if !ok {
-		return 0
-	}
-	return w.tree.Get(s)
-}
 
 // Set replaces the weight of k; weight 0 releases the key's slot.
 func (w *Weighted[K]) Set(k K, weight float64) {

@@ -96,9 +96,6 @@ func New(p model.Params, c Constants) (*Evaluator, error) {
 // GammaLeMu reports which Lyapunov function the evaluator uses.
 func (e *Evaluator) GammaLeMu() bool { return e.gammaLeMu }
 
-// MPhi returns M_φ = 3d + 1/β, the bound on φ used throughout the proof.
-func (e *Evaluator) MPhi() float64 { return 3*e.consts.D + 1/e.consts.Beta }
-
 // Phi evaluates the proof's piecewise function φ with parameters d, β:
 // slope −1 on [0, 2d], a quadratic blend on (2d, 2d+1/β], zero beyond.
 func (e *Evaluator) Phi(x float64) float64 {

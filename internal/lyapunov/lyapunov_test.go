@@ -99,9 +99,9 @@ func TestPhiShape(t *testing.T) {
 		}
 		prev = v
 	}
-	// M_φ bounds φ.
-	if e.Phi(0) >= e.MPhi() {
-		t.Errorf("φ(0) = %v not below M_φ = %v", e.Phi(0), e.MPhi())
+	// M_φ = 3d + 1/β bounds φ.
+	if mPhi := 3*e.consts.D + 1/e.consts.Beta; e.Phi(0) >= mPhi {
+		t.Errorf("φ(0) = %v not below M_φ = %v", e.Phi(0), mPhi)
 	}
 	// Negative inputs clamp to φ(0).
 	if e.Phi(-3) != e.Phi(0) {

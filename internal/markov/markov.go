@@ -1,5 +1,5 @@
 // Package markov solves the model's CTMC exactly on a truncated state
-// space: it enumerates every state reachable from empty with at most NMax
+// space: it enumerates every state reachable from empty with at most nmax
 // peers, censors arrivals at the truncation boundary, stores the generator
 // in compressed sparse rows in both directions, and computes the stationary
 // distribution by Gauss–Seidel sweeps on πQ = 0, stopped on the residual
@@ -24,6 +24,7 @@ var (
 	ErrNoConverge = errors.New("markov: iterative solver did not converge")
 	ErrBadNMax    = errors.New("markov: NMax must be positive")
 	ErrAbsorbing  = errors.New("markov: truncated chain has an absorbing state")
+	ErrBadResult  = errors.New("markov: result does not match chain")
 )
 
 // MaxStates caps the truncated space to keep the solver laptop-friendly.
@@ -215,9 +216,6 @@ func (c *Chain) transpose() {
 // NumStates returns the size of the truncated space.
 func (c *Chain) NumStates() int { return len(c.states) }
 
-// NMax returns the truncation level.
-func (c *Chain) NMax() int { return c.nmax }
-
 // State returns the state at an index (shared slice; callers must not
 // mutate).
 func (c *Chain) State(i int) model.State { return c.states[i] }
@@ -230,7 +228,7 @@ type StationaryResult struct {
 	MeanN float64
 	// MeanSeeds is E[x_F] under Pi.
 	MeanSeeds float64
-	// BoundaryMass is P{N = NMax}: the truncation error indicator. Results
+	// BoundaryMass is P{N = nmax}: the truncation error indicator. Results
 	// are trustworthy only when this is small.
 	BoundaryMass float64
 	// Residual is the sup-norm of πQ at exit: the solver's error evidence,
@@ -322,43 +320,12 @@ func (c *Chain) residual(pi []float64) float64 {
 	return sup
 }
 
-// MeanHittingTimeToEmpty computes, for every state, the expected time to
-// reach the empty state, by solving the first-passage linear system with
-// Gauss–Seidel sweeps. Positive recurrence on the truncated chain makes the
-// system well-posed. It returns the vector indexed like States.
-func (c *Chain) MeanHittingTimeToEmpty(maxIter int, tol float64) ([]float64, error) {
-	if maxIter <= 0 {
-		maxIter = 200000
+// StationarityResidual returns the sup-norm of πQ over the truncated chain,
+// a direct certificate that the solved distribution satisfies global
+// balance (up to truncation). Tests require this to be tiny.
+func (c *Chain) StationarityResidual(res *StationaryResult) (float64, error) {
+	if res == nil || len(res.Pi) != len(c.states) {
+		return 0, ErrBadResult
 	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	n := len(c.states)
-	h := make([]float64, n)
-	var maxDiff float64
-	for iter := 0; iter < maxIter; iter++ {
-		maxDiff = 0
-		for i := 1; i < n; i++ { // state 0 is empty: h = 0
-			if c.outRate[i] == 0 {
-				continue
-			}
-			var sum float64
-			for k := c.outStart[i]; k < c.outStart[i+1]; k++ {
-				if to := c.outTo[k]; to != 0 {
-					sum += c.outQ[k] * h[to]
-				}
-			}
-			nv := (1 + sum) / c.outRate[i]
-			d := math.Abs(nv - h[i])
-			if d > maxDiff*(1+math.Abs(nv)) {
-				maxDiff = d / (1 + math.Abs(nv))
-			}
-			h[i] = nv
-		}
-		if maxDiff < tol {
-			return h, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: hitting times after %d Gauss–Seidel sweeps (last relative step %.3g, tol %.3g)",
-		ErrNoConverge, maxIter, maxDiff, tol)
+	return c.residual(res.Pi), nil
 }

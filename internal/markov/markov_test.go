@@ -38,9 +38,6 @@ func TestBuildStateCountK1(t *testing.T) {
 	if got, want := c.NumStates(), 15; got != want {
 		t.Errorf("NumStates = %d, want %d", got, want)
 	}
-	if c.NMax() != 4 {
-		t.Errorf("NMax = %d", c.NMax())
-	}
 	// Empty state must be index 0.
 	if c.State(0).N() != 0 {
 		t.Error("state 0 is not empty")
@@ -302,54 +299,19 @@ func TestStationaryMatchesSimulatorK2(t *testing.T) {
 	}
 }
 
-func TestMeanHittingTime(t *testing.T) {
-	p := k1Params(0.5, 1, 1, 2)
-	c, err := Build(p, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.MeanHittingTimeToEmpty(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h[0] != 0 {
-		t.Error("hitting time from empty must be 0")
-	}
-	// Hitting times grow with the starting population.
-	idxSmall, idxLarge := -1, -1
-	for i := 0; i < c.NumStates(); i++ {
-		st := c.State(i)
-		if st.N() == 1 && idxSmall < 0 {
-			idxSmall = i
-		}
-		if st.N() == c.NMax() {
-			idxLarge = i
-		}
-	}
-	if idxSmall < 0 || idxLarge < 0 {
-		t.Fatal("missing reference states")
-	}
-	if !(h[idxSmall] > 0) || !(h[idxLarge] > h[idxSmall]) {
-		t.Errorf("hitting times not ordered: h1=%v hmax=%v", h[idxSmall], h[idxLarge])
-	}
-}
-
-// TestNoConvergeWrapped: both iterative solvers report a too-small
-// iteration budget as ErrNoConverge, wrapped with the budget spent.
+// TestNoConvergeWrapped: the solver reports a too-small iteration budget
+// as ErrNoConverge, wrapped with the budget spent.
 func TestNoConvergeWrapped(t *testing.T) {
 	c, err := Build(k1Params(0.5, 1, 1, 2), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, errPi := c.Stationary(1, 0)
-	_, errH := c.MeanHittingTimeToEmpty(1, 0)
-	for _, err := range []error{errPi, errH} {
-		if !errors.Is(err, ErrNoConverge) {
-			t.Fatalf("err = %v, want ErrNoConverge", err)
-		}
-		if !strings.Contains(err.Error(), "after 1 ") {
-			t.Errorf("err = %q, want the iteration count", err)
-		}
+	_, err = c.Stationary(1, 0)
+	if !errors.Is(err, ErrNoConverge) {
+		t.Fatalf("err = %v, want ErrNoConverge", err)
+	}
+	if !strings.Contains(err.Error(), "after 1 ") {
+		t.Errorf("err = %q, want the iteration count", err)
 	}
 }
 

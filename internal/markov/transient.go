@@ -97,6 +97,9 @@ func (c *Chain) TransientDistribution(x0 model.State, t, tail float64) ([]float6
 }
 
 // MeanNAt returns E[N_t] from a transient distribution computation.
+//
+// Test oracle: the exact finite-horizon law that the simulator's empirical
+// E[N_t] is checked against.
 func (c *Chain) MeanNAt(x0 model.State, t float64) (float64, error) {
 	dist, err := c.TransientDistribution(x0, t, 0)
 	if err != nil {

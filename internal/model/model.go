@@ -92,9 +92,6 @@ func (p Params) LambdaTotal() float64 {
 	return total
 }
 
-// LambdaOf returns λ_C (0 for absent types).
-func (p Params) LambdaOf(c pieceset.Set) float64 { return p.Lambda[c] }
-
 // CanPieceEnter reports whether new copies of piece k can enter the system:
 // U_s > 0, or λ_C > 0 for some C containing k (the condition in the γ ≤ µ
 // branch of Theorem 1).
@@ -200,6 +197,9 @@ func (p Params) checkState(x State) error {
 // UploadRate returns Γ_{C, C∪{i}} of equation (1): the aggregate rate at
 // which type-C peers receive piece i, for i ∉ C. It returns 0 when n = 0,
 // x_C = 0, or i ∈ C.
+//
+// Test oracle: pins equation (1)'s values, which Walk computes through the
+// same uploadRate.
 func (p Params) UploadRate(x State, c pieceset.Set, i int) float64 {
 	if err := p.checkState(x); err != nil {
 		return 0
@@ -381,6 +381,9 @@ func (p Params) Transitions(x State) ([]Transition, error) {
 }
 
 // TotalRate returns the total outflow rate Σ_{x'≠x} q(x, x') at state x.
+//
+// Test oracle: the generator's outflow that the simulator's CurrentRates
+// must dominate.
 func (p Params) TotalRate(x State) (float64, error) {
 	ts, err := p.Transitions(x)
 	if err != nil {

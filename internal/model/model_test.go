@@ -80,9 +80,6 @@ func TestLambdaTotals(t *testing.T) {
 	if got := p.LambdaTotal(); got != 3.5 {
 		t.Errorf("LambdaTotal = %v", got)
 	}
-	if p.LambdaOf(pieceset.MustOf(1)) != 2.5 || p.LambdaOf(pieceset.MustOf(2)) != 0 {
-		t.Error("LambdaOf wrong")
-	}
 }
 
 func TestCanPieceEnter(t *testing.T) {

@@ -5,7 +5,6 @@ package obs
 // about — TestInstrumentationOverhead in internal/kernel enforces it
 // against the pre-tap loop), with an empty tap, and with realistic
 // pipelines attached.
-// CI runs these in short -benchtime mode and uploads BENCH_obs.json.
 
 import (
 	"testing"

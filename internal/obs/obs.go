@@ -25,8 +25,6 @@
 package obs
 
 import (
-	"sort"
-
 	"repro/internal/telemetry"
 )
 
@@ -97,21 +95,6 @@ func (s *Snapshot) setMark(name string, t float64) {
 		s.Marks = make(map[string]float64)
 	}
 	s.Marks[name] = t
-}
-
-// ValueKeys returns the snapshot's scalar names, sorted.
-func (s *Snapshot) ValueKeys() []string { return sortedKeys(s.Values) }
-
-// MarkKeys returns the snapshot's mark names, sorted.
-func (s *Snapshot) MarkKeys() []string { return sortedKeys(s.Marks) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Set composes observers into one pipeline. It implements kernel.Tap and

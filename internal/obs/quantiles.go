@@ -44,9 +44,6 @@ func (q *Quantiles) OnEvent(float64, int, float64) {
 // Value returns the current estimate for the i-th configured quantile.
 func (q *Quantiles) Value(i int) float64 { return q.ests[i].Value() }
 
-// Ps returns the configured quantile targets.
-func (q *Quantiles) Ps() []float64 { return q.ps }
-
 // N returns the number of observations streamed so far.
 func (q *Quantiles) N() int { return q.ests[0].N() }
 

@@ -68,6 +68,9 @@ func (s *Sojourn) observeWindow(t float64) {
 
 // Arrive records that the entity with the given tag entered at time t.
 // Reusing a live tag is an invariant violation and panics.
+//
+// Test oracle: with Depart, the map-tagged reference that the slab tags of
+// Admit/Release must match statistic for statistic.
 func (s *Sojourn) Arrive(tag uint64, t float64) {
 	if _, live := s.open[tag]; live {
 		panic(fmt.Sprintf("obs: sojourn %q tag %d arrived twice", s.name, tag))
@@ -79,6 +82,8 @@ func (s *Sojourn) Arrive(tag uint64, t float64) {
 
 // Depart records that the entity left at time t and folds its duration
 // into the statistics. Departing an unknown tag panics.
+//
+// Test oracle: see Arrive.
 func (s *Sojourn) Depart(tag uint64, t float64) {
 	at, live := s.open[tag]
 	if !live {
@@ -164,10 +169,6 @@ func (s *Sojourn) Lambda() float64 {
 	}
 	return 0
 }
-
-// LittleGap returns L − λ·W, the finite-horizon Little's-law residual; it
-// converges to zero as the window grows in a stable system.
-func (s *Sojourn) LittleGap() float64 { return s.L() - s.Lambda()*s.w.Mean() }
 
 // EmitTo implements Emitter: the tracker's headline scalars, prefixed with
 // its name.

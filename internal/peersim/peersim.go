@@ -242,9 +242,14 @@ func (s *Swarm) MeanPeers() float64 { return s.k.MeanPopulation() }
 
 // DownloadTimes returns statistics of arrival→completion times over
 // departed peers. (Peers that arrived with the full file contribute zero.)
+//
+// Test oracle: with DwellTimes, checked against the sojourn law
+// (download + dwell = sojourn) and the dwell rate γ.
 func (s *Swarm) DownloadTimes() *dist.Summary { return &s.downloadTimes }
 
 // DwellTimes returns statistics of completion→departure dwell times.
+//
+// Test oracle: see DownloadTimes.
 func (s *Swarm) DwellTimes() *dist.Summary { return &s.dwellTimes }
 
 // SojournTimes returns statistics of total time-in-system of departed
@@ -259,19 +264,16 @@ func (s *Swarm) Sojourn() *obs.Sojourn { return s.sojourn }
 
 // UploadsPerPeer returns statistics of uploads contributed per departed
 // peer.
+//
+// Test oracle: the per-peer upload count the flow-balance check reads.
 func (s *Swarm) UploadsPerPeer() *dist.Summary { return &s.uploadsMade }
 
-// TypeCounts aggregates the live peers by type, for cross-validation with
-// the type-count simulator. It allocates a fresh map per call; repeated
-// snapshots at large N use TypeCountsInto with a reused map.
+// TypeCounts aggregates the live peers by type.
+//
+// Test oracle: the per-type counts the peer-level state is checked against
+// (population and piece holders).
 func (s *Swarm) TypeCounts() map[pieceset.Set]int {
-	return s.TypeCountsInto(make(map[pieceset.Set]int))
-}
-
-// TypeCountsInto clears dst, fills it with the live per-type counts, and
-// returns it.
-func (s *Swarm) TypeCountsInto(dst map[pieceset.Set]int) map[pieceset.Set]int {
-	clear(dst)
+	dst := make(map[pieceset.Set]int)
 	for _, c := range s.sets {
 		dst[c]++
 	}

@@ -44,8 +44,8 @@ func TestSojournTrackerLittle(t *testing.T) {
 		t.Errorf("tracker open %d != population %d", soj.Open(), s.N())
 	}
 	l, lam, w := soj.L(), soj.Lambda(), soj.Durations().Mean()
-	if math.Abs(soj.LittleGap()) > 0.1*l {
-		t.Errorf("Little residual too large: L=%v λ=%v W=%v gap=%v", l, lam, w, soj.LittleGap())
+	if gap := l - lam*w; math.Abs(gap) > 0.1*l {
+		t.Errorf("Little residual too large: L=%v λ=%v W=%v gap=%v", l, lam, w, gap)
 	}
 	if soj.Median() <= 0 || soj.P90() < soj.Median() {
 		t.Errorf("sojourn quantiles inconsistent: p50=%v p90=%v", soj.Median(), soj.P90())
@@ -91,9 +91,7 @@ func TestInvariants(t *testing.T) {
 		seeds := 0
 		for c, v := range counts {
 			total += v
-			for _, pc := range c.Pieces() {
-				holders[pc-1] += v
-			}
+			c.ForEach(func(pc int) { holders[pc-1] += v })
 			if c.IsFull(p.K) {
 				seeds += v
 			}

@@ -88,12 +88,6 @@ func (s Set) Without(p int) Set {
 	return s &^ (1 << uint(p-1))
 }
 
-// Union returns s ∪ t.
-func (s Set) Union(t Set) Set { return s | t }
-
-// Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set { return s & t }
-
 // Minus returns s − t, the pieces s has that t lacks. In the model this is
 // the set of pieces an uploader of type s can usefully send to a peer of
 // type t.
@@ -113,32 +107,6 @@ func (s Set) IsFull(k int) bool { return s == Full(k) }
 
 // SubsetOf reports whether s ⊆ t.
 func (s Set) SubsetOf(t Set) bool { return s&^t == 0 }
-
-// ProperSubsetOf reports whether s ⊂ t strictly.
-func (s Set) ProperSubsetOf(t Set) bool { return s != t && s.SubsetOf(t) }
-
-// CanHelp reports whether a peer of type s has at least one piece useful to
-// a peer of type t (the usefulness condition B ⊄ A of the paper, from the
-// uploader's perspective).
-func (s Set) CanHelp(t Set) bool { return s&^t != 0 }
-
-// Pieces returns the sorted piece numbers in s. It allocates a fresh slice
-// on every call; event loops use ForEach (or AppendPieces with a reused
-// buffer) instead, which visit the same pieces in the same order without
-// touching the heap.
-func (s Set) Pieces() []int {
-	return s.AppendPieces(make([]int, 0, s.Size()))
-}
-
-// AppendPieces appends the sorted piece numbers in s to buf and returns it,
-// the reuse-friendly form of Pieces: with cap(buf) ≥ |s| the call does not
-// allocate.
-func (s Set) AppendPieces(buf []int) []int {
-	for m := uint32(s); m != 0; m &= m - 1 {
-		buf = append(buf, bits.TrailingZeros32(m)+1)
-	}
-	return buf
-}
 
 // ForEach calls fn for every piece in s in increasing order — the same
 // sequence Pieces returns — without allocating. fn is only invoked, never
@@ -215,24 +183,6 @@ func All(k int) []Set {
 func AllProper(k int) []Set {
 	all := All(k)
 	return all[:len(all)-1]
-}
-
-// Supersets returns all T ⊇ s within {1..k}, in increasing order. The count
-// is 2^(k−|s|).
-func Supersets(s Set, k int) []Set {
-	free := Full(k) &^ s
-	out := make([]Set, 0, 1<<uint(free.Size()))
-	// Enumerate submasks of the free positions and union each with s.
-	sub := Set(0)
-	for {
-		out = append(out, s|sub)
-		if sub == free {
-			break
-		}
-		sub = (sub - free) & free
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Subsets returns all T ⊆ s, in increasing order (2^|s| values). These are

@@ -126,6 +126,8 @@ func (r *RNG) Bernoulli(p float64) bool {
 // Categorical draws index i with probability weights[i] / sum(weights).
 // Negative weights are treated as zero. It returns ErrEmptyWeights when the
 // total weight is not positive.
+//
+// Test oracle: the reference draw that Picker.Pick must reproduce.
 func (r *RNG) Categorical(weights []float64) (int, error) {
 	var total float64
 	for _, w := range weights {
@@ -200,44 +202,6 @@ func (r *RNG) Poisson(mean float64) int {
 		lg, _ := math.Lgamma(k + 1)
 		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logMean-mean-lg {
 			return int(k)
-		}
-	}
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials (support {0,1,2,...}). p is clamped into (0,1].
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	u := r.Float64()
-	return int(math.Floor(math.Log(1-u) / math.Log(1-p)))
-}
-
-// Perm fills a permutation of [0,n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
 }

@@ -164,51 +164,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(21)
-	const p, draws = 0.25, 100000
-	var sum float64
-	for i := 0; i < draws; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	want := (1 - p) / p
-	if got := sum / draws; math.Abs(got-want) > 0.1 {
-		t.Errorf("Geometric mean = %v, want %v", got, want)
-	}
-	if r.Geometric(1) != 0 {
-		t.Error("Geometric(1) must be 0")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(8)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestNormMoments(t *testing.T) {
-	r := New(30)
-	const draws = 200000
-	var sum, sumsq float64
-	for i := 0; i < draws; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumsq += x * x
-	}
-	if m := sum / draws; math.Abs(m) > 0.01 {
-		t.Errorf("normal mean = %v", m)
-	}
-	if v := sumsq / draws; math.Abs(v-1) > 0.02 {
-		t.Errorf("normal var = %v", v)
-	}
-}
-
 // Property: Intn stays within bounds for arbitrary positive n.
 func TestQuickIntnBounds(t *testing.T) {
 	r := New(99)

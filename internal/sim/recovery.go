@@ -128,6 +128,8 @@ func (s *RecoverySwarm) Stats() Stats {
 }
 
 // FastPeers returns how many peers currently run sped-up clocks.
+//
+// Test oracle: the speed-class invariants (FastPeers ≤ N) read it.
 func (s *RecoverySwarm) FastPeers() int {
 	total := 0
 	s.peers.Each(func(k speedType, v int) {
@@ -156,6 +158,8 @@ func (s *RecoverySwarm) Holders(piece int) int {
 }
 
 // CountOf returns the peers of a given piece-set type (both speeds).
+//
+// Test oracle: cross-checks OneClub on a seeded initial state.
 func (s *RecoverySwarm) CountOf(c pieceset.Set) int {
 	return s.peers.Count(speedType{c: c}) + s.peers.Count(speedType{c: c, fast: true})
 }

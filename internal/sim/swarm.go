@@ -218,9 +218,6 @@ func (s *Swarm) Now() float64 { return s.k.Now() }
 // N returns the current number of peers.
 func (s *Swarm) N() int { return s.peers.Total() }
 
-// CountOf returns the number of type-c peers.
-func (s *Swarm) CountOf(c pieceset.Set) int { return s.peers.Count(c) }
-
 // PeerSeeds returns x_F, the number of peers holding the full collection.
 func (s *Swarm) PeerSeeds() int { return s.peers.Count(s.full) }
 
@@ -258,13 +255,6 @@ func (s *Swarm) MeanPeers() float64 { return s.k.MeanPopulation() }
 // ResetOccupancy restarts the E[N] estimator at the current instant,
 // discarding burn-in.
 func (s *Swarm) ResetOccupancy() { s.k.ResetOccupancy() }
-
-// SparseCounts returns a copy of the occupied type counts. It allocates a
-// fresh map per call; cross-validation loops at large N use
-// SparseCountsInto with a reused map instead.
-func (s *Swarm) SparseCounts() map[pieceset.Set]int {
-	return s.SparseCountsInto(make(map[pieceset.Set]int, s.peers.Occupied()))
-}
 
 // SparseCountsInto clears dst, fills it with the occupied type counts, and
 // returns it, letting repeated snapshots reuse one map.
@@ -538,6 +528,8 @@ type Rates struct {
 // CurrentRates returns the instantaneous event rates at the current state
 // (for a time-varying profile this is the effective arrival rate at the
 // current instant, not the thinning bound the race runs at).
+//
+// Test oracle: checked against the generator's model.Params.TotalRate.
 func (s *Swarm) CurrentRates() Rates {
 	n := s.peers.Total()
 	r := Rates{Arrival: s.lambdaTotal * s.scenario.ArrivalAt(s.k.Now())}

@@ -81,14 +81,12 @@ func TestInvariantsUnderLoad(t *testing.T) {
 		// Population equals sum of counts; piece holders consistent.
 		total := 0
 		holders := make([]int, p.K)
-		for c, v := range s.SparseCounts() {
+		for c, v := range s.SparseCountsInto(map[pieceset.Set]int{}) {
 			if v <= 0 {
 				t.Fatalf("non-positive count for %v", c)
 			}
 			total += v
-			for _, pc := range c.Pieces() {
-				holders[pc-1] += v
-			}
+			c.ForEach(func(pc int) { holders[pc-1] += v })
 		}
 		if total != s.N() {
 			t.Fatalf("N = %d but counts sum to %d", s.N(), total)
@@ -494,7 +492,7 @@ func TestSequentialPolicyPrefixInvariant(t *testing.T) {
 		if err := s.Step(); err != nil {
 			t.Fatal(err)
 		}
-		for c := range s.SparseCounts() {
+		for c := range s.SparseCountsInto(map[pieceset.Set]int{}) {
 			if !isPrefix(c) {
 				t.Fatalf("non-prefix type %v under sequential policy", c)
 			}

@@ -278,8 +278,8 @@ func TestQuickDeltaMonotone(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, sup := range pieceset.Supersets(s, 3) {
-			if sup.IsFull(3) {
+		for _, sup := range pieceset.All(3) {
+			if !s.SubsetOf(sup) || sup.IsFull(3) {
 				continue
 			}
 			dSup, err := DeltaS(p, sup)

@@ -30,7 +30,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	full := buf.Bytes()
 
 	// Ground truth: the committed-block boundaries of the intact file.
-	intact, err := NewReader(bytes.NewReader(full), int64(len(full)))
+	intact, err := NewReaderOptions(bytes.NewReader(full), int64(len(full)), ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 			}
 		}
 		// Strict open: all-or-typed-error.
-		rs, err := NewReader(bytes.NewReader(truncated), k)
+		rs, err := NewReaderOptions(bytes.NewReader(truncated), k, ReaderOptions{})
 		if k == int64(len(full)) {
 			if err != nil {
 				t.Fatalf("strict open of intact file: %v", err)

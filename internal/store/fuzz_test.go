@@ -79,7 +79,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		full := buf.Bytes()
-		r, err := NewReader(bytes.NewReader(full), int64(len(full)))
+		r, err := NewReaderOptions(bytes.NewReader(full), int64(len(full)), ReaderOptions{})
 		if err != nil {
 			t.Fatalf("strict reopen: %v", err)
 		}

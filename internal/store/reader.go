@@ -80,12 +80,6 @@ func openFile(path string, opt ReaderOptions) (*Reader, error) {
 	return r, nil
 }
 
-// NewReader opens a store over any io.ReaderAt strictly (footer
-// required).
-func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
-	return NewReaderOptions(ra, size, ReaderOptions{})
-}
-
 // NewRecoveringReader opens a store over any io.ReaderAt in salvage mode.
 func NewRecoveringReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	return NewReaderOptions(ra, size, ReaderOptions{Recover: true})
@@ -375,43 +369,6 @@ func (r *Reader) Row(i int64, buf []Value) ([]Value, error) {
 		buf[c] = b.value(c, off)
 	}
 	return buf, nil
-}
-
-// Float64At returns the float64 cell at (row, col). The column must be
-// Float64 (ErrSchema otherwise).
-func (r *Reader) Float64At(row int64, col int) (float64, error) {
-	v, err := r.cell(row, col, Float64)
-	return v.f, err
-}
-
-// Int64At returns the int64 cell at (row, col).
-func (r *Reader) Int64At(row int64, col int) (int64, error) {
-	v, err := r.cell(row, col, Int64)
-	return v.i, err
-}
-
-// StringAt returns the string cell at (row, col).
-func (r *Reader) StringAt(row int64, col int) (string, error) {
-	v, err := r.cell(row, col, String)
-	return v.s, err
-}
-
-func (r *Reader) cell(row int64, col int, want Type) (Value, error) {
-	if col < 0 || col >= len(r.schema.Cols) {
-		return Value{}, fmt.Errorf("%w: column %d out of range", ErrSchema, col)
-	}
-	if r.schema.Cols[col].Type != want {
-		return Value{}, fmt.Errorf("%w: column %q is %v, not %v", ErrSchema, r.schema.Cols[col].Name, r.schema.Cols[col].Type, want)
-	}
-	bi, off, err := r.locate(row)
-	if err != nil {
-		return Value{}, err
-	}
-	b, err := r.block(bi)
-	if err != nil {
-		return Value{}, err
-	}
-	return b.value(col, off), nil
 }
 
 // Scan streams every committed row in order into fn, reusing one row

@@ -276,19 +276,6 @@ func (v Value) Int64() int64 { return v.i }
 // String returns the string cell value ("" for other types).
 func (v Value) String() string { return v.s }
 
-// Any returns the cell as an any (for JSON-ish generic output).
-func (v Value) Any() any {
-	switch v.t {
-	case Float64:
-		return v.f
-	case Int64:
-		return v.i
-	case String:
-		return v.s
-	}
-	return nil
-}
-
 // encodeHeader renders the file header for a schema.
 func encodeHeader(s Schema) ([]byte, error) {
 	meta, err := json.Marshal(s.toJSON())

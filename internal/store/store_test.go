@@ -84,7 +84,7 @@ func checkRows(t *testing.T, r *Reader, want [][]Value) {
 	err := r.Scan(func(i int64, vals []Value) error {
 		for c := range vals {
 			if !sameValue(vals[c], want[i][c]) {
-				return fmt.Errorf("row %d col %d = %v, want %v", i, c, vals[c].Any(), want[i][c].Any())
+				return fmt.Errorf("row %d col %d = %#v, want %#v", i, c, vals[c], want[i][c])
 			}
 		}
 		return nil
@@ -133,7 +133,7 @@ func TestRandomAccess(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	r, err := NewReaderOptions(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,21 +146,9 @@ func TestRandomAccess(t *testing.T) {
 		}
 		for c := range got {
 			if !sameValue(got[c], rows[i][c]) {
-				t.Fatalf("Row(%d) col %d = %v, want %v", i, c, got[c].Any(), rows[i][c].Any())
+				t.Fatalf("Row(%d) col %d = %#v, want %#v", i, c, got[c], rows[i][c])
 			}
 		}
-		if s, err := r.StringAt(i, 0); err != nil || s != rows[i][0].String() {
-			t.Fatalf("StringAt(%d,0) = %q, %v", i, s, err)
-		}
-		if x, err := r.Int64At(i, 1); err != nil || x != rows[i][1].Int64() {
-			t.Fatalf("Int64At(%d,1) = %d, %v", i, x, err)
-		}
-		if f, err := r.Float64At(i, 3); err != nil || math.Float64bits(f) != math.Float64bits(rows[i][3].Float64()) {
-			t.Fatalf("Float64At(%d,3) = %v, %v", i, f, err)
-		}
-	}
-	if _, err := r.Float64At(0, 0); !errors.Is(err, ErrSchema) {
-		t.Errorf("Float64At on string column: err = %v, want ErrSchema", err)
 	}
 	if _, err := r.Row(int64(len(rows)), nil); err == nil {
 		t.Errorf("Row out of range: want error")
@@ -353,7 +341,7 @@ func TestEmptyStore(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	r, err := NewReaderOptions(bytes.NewReader(buf.Bytes()), int64(buf.Len()), ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

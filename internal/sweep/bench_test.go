@@ -9,7 +9,7 @@ import (
 // boundary resolution (identical raster dimensions, crossings within one
 // cell — TestAdaptiveMatchesDenseBoundary), the adaptive refiner evaluates
 // ≥5× fewer cells (TestAdaptiveEvaluatesFewerCells enforces the ratio;
-// the "cells/op" metric below records it run-over-run in BENCH_sweep.json).
+// the "cells/op" metric below reports it).
 
 func BenchmarkSweepDense(b *testing.B) {
 	g := example1Grid(3)

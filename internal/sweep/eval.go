@@ -88,18 +88,16 @@ type Hybrid struct {
 	PeerCap int
 	// Replicas is the number of sample paths per cell (default 3).
 	Replicas int
-	// Config tunes the regime thresholds (zero value = defaults).
-	Config hybrid.Config
 }
 
 // Name implements Evaluator.
 func (e *Hybrid) Name() string { return "hybrid" }
 
-// Fingerprint implements Evaluator: the regime thresholds are part of the
-// cache identity — cells leaped under one band must never satisfy a sweep
-// asking for another.
+// Fingerprint implements Evaluator. Cells are evaluated at the default
+// regime thresholds, which the key names so that cells leaped under one
+// band never satisfy a sweep asking for another.
 func (e *Hybrid) Fingerprint() string {
-	return fmt.Sprintf("h=%s;cap=%d;rep=%d;%s", fnum(e.Horizon), e.PeerCap, cellReplicas(e.Replicas), e.Config.Fingerprint())
+	return fmt.Sprintf("h=%s;cap=%d;rep=%d;%s", fnum(e.Horizon), e.PeerCap, cellReplicas(e.Replicas), hybrid.Config{}.Fingerprint())
 }
 
 // Evaluate implements Evaluator.
@@ -108,7 +106,7 @@ func (e *Hybrid) Evaluate(ctx context.Context, pt Point, r *rng.RNG) (Cell, erro
 		return Cell{}, hybrid.ErrScenario
 	}
 	return classifyCell(ctx, pt, r, e.Horizon, e.PeerCap, e.Replicas, func(sys *core.System, cfg core.RunConfig) (core.Empirical, error) {
-		return sys.ClassifyHybrid(cfg, e.Config)
+		return sys.ClassifyHybrid(cfg)
 	})
 }
 

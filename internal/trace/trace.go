@@ -198,8 +198,9 @@ func (t *Tracer) Kernel() *Buf {
 	return t.Track("kernel/" + itoa(shard))
 }
 
-// Dumps reports how many anomaly dumps have been written (for tests and
-// the end-of-run summary).
+// Dumps reports how many anomaly dumps have been written.
+//
+// Test oracle: the count the flight-dump cap and no-progress tests read.
 func (t *Tracer) Dumps() int {
 	if t == nil {
 		return 0
